@@ -2,7 +2,8 @@
 
 Reports are JSON with a versioned schema and deterministic float
 formatting (17 significant digits); function dumps go to CSV next to
-the report.  Exit codes: 2 for parse errors, 3 for solver failures.
+the report.  Exit codes: 2 for unparsable or out-of-domain arguments,
+3 for solver failures.
 """
 
 from __future__ import annotations
@@ -375,8 +376,8 @@ def main(argv=None):
         parser.error("bound needs either --gamma/--p/--q or --a and --b")
     try:
         report = run(args)
-    except WeightParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # WeightParseError or an out-of-domain number
+        print(f"invalid argument: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

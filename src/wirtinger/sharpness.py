@@ -93,77 +93,23 @@ def bound_power(pair):
     return (num / den) ** 2
 
 
-# -- equal-weight square-wave extremal pair (a = b) ----------------------
+# -- square-wave extremal family -----------------------------------------
 
-def extremal_weight_ps(L):
-    """Square wave: 1 on [0,pi/2) and [pi,3pi/2), L on the other quarters."""
-    if L < 1.0:
-        raise ValueError("extremal weight requires L >= 1")
-    half = math.pi / 2.0
-    return PeriodicWeight.piecewise([0.0, half, math.pi, 3 * half],
-                                    [1.0, float(L), 1.0, float(L)])
+def _square_wave(M, p, q):
+    """Extremal gamma: 1 on [0, c pi/2) and [pi, pi + c pi/2), M elsewhere.
 
-
-def extremal_fn_ps(L):
-    """Extremal function for the equal-weight square wave, with constant."""
-    w = extremal_weight_ps(L)
-    lam = ((4.0 / math.pi) * math.atan(L ** -0.5)) ** 2
-    s = math.sqrt(lam)
-    rL = L ** -0.5
-    half = math.pi / 2.0
-
-    def fn(theta):
-        tm = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        return np.select(
-            [tm < half, tm < math.pi, tm < 3 * half],
-            [np.sin(s * (tm - math.pi / 4)),
-             rL * np.cos(s * (tm - 3 * math.pi / 4)),
-             -np.sin(s * (tm - 5 * math.pi / 4))],
-            -rL * np.cos(s * (tm - 7 * math.pi / 4)))
-
-    def fn_prime(theta):
-        tm = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        return np.select(
-            [tm < half, tm < math.pi, tm < 3 * half],
-            [s * np.cos(s * (tm - math.pi / 4)),
-             -rL * s * np.sin(s * (tm - 3 * math.pi / 4)),
-             -s * np.cos(s * (tm - 5 * math.pi / 4))],
-            rL * s * np.sin(s * (tm - 7 * math.pi / 4)))
-
-    return ExtremalProfile(weight=w, fn=fn, fn_prime=fn_prime,
-                           constants={"lambda": lam})
-
-
-# -- power-family extremal pair ------------------------------------------
-
-def extremal_weight_pq(M, p, q):
-    """Extremal gamma for the power-weight bound, with its constant c_pq."""
-    if M <= 1.0:
-        raise ValueError("extremal family requires M > 1")
-    if p + q <= 0:
-        raise ValueError("extremal family requires p + q > 0")
+    Returns the weight and its constant c = c_pq(M, p, q).
+    """
     c = transform.c_pq(M, p, q)
     half = c * math.pi / 2.0
-    w = PeriodicWeight.piecewise([0.0, half, math.pi, math.pi + half],
-                                 [1.0, float(M), 1.0, float(M)])
-    return ExtremalProfile(weight=w, fn=None, fn_prime=None,
-                           constants={"c_pq": c})
+    weight = PeriodicWeight.piecewise([0.0, half, math.pi, math.pi + half],
+                                      [1.0, float(M), 1.0, float(M)])
+    return weight, c
 
 
-def mu_constant(M, p, q, mu_mode="continuity_corrected"):
-    """The arctan-squared constant of the extremal function."""
-    if mu_mode == "paper_literal":
-        return ((4.0 / math.pi) * math.atan(M ** (-(p + q)))) ** 2
-    if mu_mode == "continuity_corrected":
-        return ((4.0 / math.pi) * math.atan(M ** (-(p + q) / 4.0))) ** 2
-    raise ValueError(f"unknown mu_mode {mu_mode!r}")
-
-
-def extremal_fn_pq(M, p, q, mu_mode="continuity_corrected"):
-    """Extremal function of the power family, in the chosen mu convention."""
-    profile = extremal_weight_pq(M, p, q)
-    c = profile.constants["c_pq"]
-    mu = mu_constant(M, p, q, mu_mode)
+def _extremal_fn(M, p, q, mu):
+    """Extremal function of the square wave and its derivative."""
+    c = transform.c_pq(M, p, q)
     s = math.sqrt(mu)
     amp = M ** (-(p + q) / 4.0)
     slope2 = M ** ((p - q) / 2.0) / c
@@ -188,9 +134,56 @@ def extremal_fn_pq(M, p, q, mu_mode="continuity_corrected"):
              -(s / c) * np.cos(s * (pi + (tm - pi) / c - 5 * pi / 4))],
             amp * s * slope2 * np.sin(s * (3 * pi / 2 + slope2 * (tm - pi - b1) - 7 * pi / 4)))
 
+    return fn, fn_prime
+
+
+def extremal_weight_ps(L):
+    """Equal-weight square wave: 1 on [0,pi/2) and [pi,3pi/2), L elsewhere.
+
+    The p = q = 1 member of the power family (c_pq = 1).
+    """
+    if L < 1.0:
+        raise ValueError("extremal weight requires L >= 1")
+    return _square_wave(L, 1.0, 1.0)[0]
+
+
+def extremal_fn_ps(L):
+    """Extremal function of the equal-weight square wave, with lambda = mu."""
+    weight = extremal_weight_ps(L)
+    mu = mu_constant(L, 1.0, 1.0)
+    fn, fn_prime = _extremal_fn(L, 1.0, 1.0, mu)
+    return ExtremalProfile(weight=weight, fn=fn, fn_prime=fn_prime,
+                           constants={"lambda": mu})
+
+
+def extremal_weight_pq(M, p, q):
+    """Extremal gamma for the power-weight bound, with its constant c_pq."""
+    if M <= 1.0:
+        raise ValueError("extremal family requires M > 1")
+    if p + q <= 0:
+        raise ValueError("extremal family requires p + q > 0")
+    weight, c = _square_wave(M, p, q)
+    return ExtremalProfile(weight=weight, fn=None, fn_prime=None,
+                           constants={"c_pq": c})
+
+
+def mu_constant(M, p, q, mu_mode="continuity_corrected"):
+    """The arctan-squared constant of the extremal function."""
+    if mu_mode == "paper_literal":
+        return ((4.0 / math.pi) * math.atan(M ** (-(p + q)))) ** 2
+    if mu_mode == "continuity_corrected":
+        return ((4.0 / math.pi) * math.atan(M ** (-(p + q) / 4.0))) ** 2
+    raise ValueError(f"unknown mu_mode {mu_mode!r}")
+
+
+def extremal_fn_pq(M, p, q, mu_mode="continuity_corrected"):
+    """Extremal function of the power family, in the chosen mu convention."""
+    profile = extremal_weight_pq(M, p, q)
+    mu = mu_constant(M, p, q, mu_mode)
+    fn, fn_prime = _extremal_fn(M, p, q, mu)
     return ExtremalProfile(weight=profile.weight, fn=fn, fn_prime=fn_prime,
-                           constants={"c_pq": c, "mu": mu,
-                                      "mu_mode": mu_mode})
+                           constants={"c_pq": profile.constants["c_pq"],
+                                      "mu": mu, "mu_mode": mu_mode})
 
 
 def closed_form_pq0(a, amplitude=1.0, phase=0.0):

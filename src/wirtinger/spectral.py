@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .weights import TWO_PI, PeriodicWeight
+from .weights import TWO_PI, PeriodicWeight, split_panels
 
 
 class SolverError(RuntimeError):
@@ -162,8 +162,8 @@ def best_constant(a, b, n=2048):
 def rayleigh_quotient(a, b, w, wprime=None, panels=2048):
     """Quotient int a w^2 / int b w'^2 plus the constraint residual.
 
-    `w` is a callable (optionally with analytic derivative) or an array
-    of node samples on a uniform periodic grid.
+    `w` is a callable, which needs its analytic derivative `wprime`, or
+    an array of node samples on a uniform periodic grid.
     """
     if not callable(w):
         u = np.asarray(w, dtype=float)
@@ -177,29 +177,19 @@ def rayleigh_quotient(a, b, w, wprime=None, panels=2048):
         return float(u @ (mass @ u)) / den, residual
 
     if wprime is None:
-        h = 1e-5
-        wprime = lambda th: (np.asarray(w(th + h)) - np.asarray(w(th - h))) / (2 * h)
-
-    cuts = [np.array([0.0, TWO_PI])]
-    for wt in (a, b):
-        if wt.kind == "piecewise_constant":
-            cuts.append(wt.breakpoints)
-    cuts = np.unique(np.concatenate(cuts))
-    num = den = mom = absmom = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        k = max(1, int(math.ceil(panels * (right - left) / TWO_PI)))
-        sub = np.linspace(left, right, k + 1)
-        hs = (right - left) / k
-        pts = (sub[:-1, None] + hs * _GP[None, :]).ravel()
-        gw = np.tile(_GW * hs, k)
-        av = np.asarray(a.eval(pts))
-        bv = np.asarray(b.eval(pts))
-        wv = np.asarray(w(pts), dtype=float)
-        wpv = np.asarray(wprime(pts), dtype=float)
-        num += float(np.sum(gw * av * wv**2))
-        den += float(np.sum(gw * bv * wpv**2))
-        mom += float(np.sum(gw * av * wv))
-        absmom += float(np.sum(gw * av * np.abs(wv)))
+        raise ValueError("a callable w needs its derivative wprime")
+    bps = [wt.breakpoints for wt in (a, b) if wt.kind == "piecewise_constant"]
+    lefts, _, widths = split_panels(bps, panels)
+    pts = (lefts[:, None] + widths[:, None] * _GP[None, :]).ravel()
+    gw = (widths[:, None] * _GW[None, :]).ravel()
+    av = np.asarray(a.eval(pts))
+    bv = np.asarray(b.eval(pts))
+    wv = np.asarray(w(pts), dtype=float)
+    wpv = np.asarray(wprime(pts), dtype=float)
+    num = float(np.sum(gw * av * wv**2))
+    den = float(np.sum(gw * bv * wpv**2))
+    mom = float(np.sum(gw * av * wv))
+    absmom = float(np.sum(gw * av * np.abs(wv)))
     if den <= 1e-14 * num:
         raise ValueError("input has (numerically) zero derivative")
     return num / den, abs(mom) / absmom

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import TWO_PI, PeriodicWeight, product, sqrt_ratio
+from .weights import (TWO_PI, PeriodicWeight, product, split_panels,
+                      sqrt_ratio)
 
 
 class PiecewiseLinearMap:
@@ -125,37 +126,16 @@ def transported_geometric_mean(cov):
         tau_bp = cov.forward(g0.breakpoints)
         return PeriodicWeight.piecewise(tau_bp, np.sqrt(g0.values))
     gb = product(a, b).ess_bounds()
+
+    def g(tau):
+        theta = cov.inverse(tau)
+        return np.sqrt(np.asarray(a.eval(theta)) * np.asarray(b.eval(theta)))
+
     return PeriodicWeight.from_callable(
-        lambda tau: np.sqrt(np.asarray(a.eval(cov.inverse(tau)))
-                            * np.asarray(b.eval(cov.inverse(tau)))),
-        declared_bounds=(math.sqrt(gb.inf), math.sqrt(gb.sup)))
+        g, declared_bounds=(math.sqrt(gb.inf), math.sqrt(gb.sup)))
 
 
-def _panel_midpoints(breakpoints, panels):
-    """Midpoint nodes and widths for [0, 2pi] split at the breakpoints."""
-    edges = [np.asarray(breakpoints, dtype=float), np.array([TWO_PI])]
-    cuts = np.unique(np.concatenate(edges))
-    cuts = cuts[(cuts >= 0.0) & (cuts <= TWO_PI)]
-    if cuts[0] != 0.0:
-        cuts = np.concatenate(([0.0], cuts))
-    mids, widths = [], []
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        k = max(1, int(math.ceil(panels * (right - left) / TWO_PI)))
-        sub = np.linspace(left, right, k + 1)
-        mids.append(0.5 * (sub[:-1] + sub[1:]))
-        widths.append(np.full(k, (right - left) / k))
-    return np.concatenate(mids), np.concatenate(widths)
-
-
-def _weight_breakpoints(*ws):
-    out = [np.array([0.0])]
-    for w in ws:
-        if w.kind == "piecewise_constant":
-            out.append(w.breakpoints)
-    return np.unique(np.concatenate(out))
-
-
-def substitution_check(cov, w, wprime=None, panels=4096):
+def substitution_check(cov, w, wprime, panels=4096):
     """Relative residuals of the three substitution identities.
 
     Checks int a w^2 dtheta = c int g xi^2 dtau, the same for the first
@@ -164,11 +144,9 @@ def substitution_check(cov, w, wprime=None, panels=4096):
     sides are computed by breakpoint-aligned midpoint quadrature.
     """
     a, b, c = cov.a, cov.b, cov.c
-    if wprime is None:
-        h = 1e-5
-        wprime = lambda th: (np.asarray(w(th + h)) - np.asarray(w(th - h))) / (2 * h)
-
-    th, dth = _panel_midpoints(_weight_breakpoints(a, b), panels)
+    bps = [wt.breakpoints for wt in (a, b) if wt.kind == "piecewise_constant"]
+    lo, hi, dth = split_panels(bps, panels)
+    th = 0.5 * (lo + hi)
     av, bv = a.eval(th), b.eval(th)
     wv = np.asarray(w(th), dtype=float)
     wpv = np.asarray(wprime(th), dtype=float)
@@ -179,8 +157,8 @@ def substitution_check(cov, w, wprime=None, panels=4096):
                        np.sum(av * np.abs(wv) * dth),
                        np.sum(bv * wpv**2 * dth)])
 
-    tau_bp = cov.forward(_weight_breakpoints(a, b))
-    tau, dtau = _panel_midpoints(tau_bp, panels)
+    lo, hi, dtau = split_panels([cov.forward(bp) for bp in bps], panels)
+    tau = 0.5 * (lo + hi)
     th_of_tau = cov.inverse(tau)
     g = np.sqrt(np.asarray(a.eval(th_of_tau)) * np.asarray(b.eval(th_of_tau)))
     xi = np.asarray(w(th_of_tau), dtype=float)

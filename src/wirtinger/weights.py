@@ -226,6 +226,26 @@ class PeriodicWeight:
         return self.integrate(0.0, TWO_PI, panels) / TWO_PI
 
 
+def split_panels(breakpoints, panels):
+    """Split [0, 2pi] into panels that never straddle a breakpoint.
+
+    `breakpoints` is a sequence of angle arrays; those in [0, 2pi] cut the
+    period, and each piece of length l between cuts gets
+    max(1, ceil(panels * l / 2pi)) equal panels.  Returns the panels'
+    left edges, right edges and widths.
+    """
+    cuts = np.unique(np.concatenate([[0.0, TWO_PI], *breakpoints]))
+    cuts = cuts[(cuts >= 0.0) & (cuts <= TWO_PI)]
+    lefts, rights, widths = [], [], []
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        k = max(1, int(math.ceil(panels * (right - left) / TWO_PI)))
+        edges = np.linspace(left, right, k + 1)
+        lefts.append(edges[:-1])
+        rights.append(edges[1:])
+        widths.append(np.full(k, (right - left) / k))
+    return np.concatenate(lefts), np.concatenate(rights), np.concatenate(widths)
+
+
 def combine(w1, w2, fn):
     """Pointwise combination fn(w1, w2) as a weight.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -91,6 +92,20 @@ def test_parse_error_exit_code(capsys):
     assert "nosuch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gamma", "bar-gamma:4,1,0", "--p", "-2", "--q", "1"],
+    ["bound", "--gamma", "bar-gamma:4,1,0", "--p", "-2", "--q", "1"],
+    ["solve", "--a", "const:1", "--b", "const:1", "--n", "4"],
+    ["solve", "--a", "const:1", "--b", "const:1", "--n-list", "64,32,128"],
+    ["extremal", "--family", "pq", "--M", "1"],
+])
+def test_out_of_domain_argument_exit_code(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_solver_error_exit_code(monkeypatch, capsys):
     from wirtinger import spectral
 
@@ -152,3 +167,36 @@ def test_default_n_from_environment(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["solve", "--a", "const:1", "--b", "const:1"])
     assert args.n == 333
+
+
+# sha256 of every file each command writes; the extremal reports embed
+# their relative CSV path, so the bytes do not depend on the directory
+GOLDEN = [
+    (["extremal", "--family", "ps", "--L", "1"], {
+        "out.json": "5c803f1e6ce3a47a1c67a27e56824aad3115b2c69fcf3bdcf2aceed8d0fabc6e",
+        "out.json.fn.csv": "309381bac3b4bd94ca456a11e9031a3d2c26d0806984a1df5e944e31ca2a82dc"}),
+    (["extremal", "--family", "ps", "--L", "4"], {
+        "out.json": "ba7a9255ab7841282308eb6f4aff7469c64c2af6a176b9b28f5129b3c9d1f637",
+        "out.json.fn.csv": "f4d8b33b7454b535be7980532a721cbb989bfdafbf53362f7a023309a2f21ff8"}),
+    (["extremal", "--family", "pq", "--M", "4", "--p", "1", "--q", "0"], {
+        "out.json": "e60575dbda8cd1ad2c634ec36c064c5cf79ffd7cd2fd85b47d9ee48af725eccc",
+        "out.json.fn.csv": "b397b67909e4a830cb355c2b8630156d98ad03896be1628c6c476db1431913d6"}),
+    (["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1"], {
+        "out.json": "c15e7f77f8bad05f7a60be225d6a8231d5fae119647c62bdcb1f2946175b2a01"}),
+    (["transform-check", "--a", "pwc:0=1,1=3,2.5=2,4=5", "--b", "bar-a:2"], {
+        "out.json": "c420f9b6bc89d6adf4470a4c9e8092cfe2524c92b844b08f305c749c7d45165a"}),
+    (["transform-check", "--a", "sine:4", "--b", "const:1"], {
+        "out.json": "327fe1238a1bdd9a17c9a07c1375424c358db1c2c05716ecb3413bf8a0736276"}),
+    (["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"], {
+        "out.json": "d1f23b4b9d2d5345df43bb717948a1c0bb5549a3d679938ccd593359d43b58ae"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_bytes(argv, digests, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out.json"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert written == digests

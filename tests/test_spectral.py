@@ -105,6 +105,11 @@ def test_rayleigh_quotient_node_samples():
     assert resid <= 1e-10
 
 
+def test_rayleigh_quotient_requires_wprime_for_callable():
+    with pytest.raises(ValueError, match="wprime"):
+        rayleigh_quotient(ONE, ONE, np.cos)
+
+
 def test_rayleigh_quotient_rejects_constant():
     with pytest.raises(ValueError):
         rayleigh_quotient(ONE, ONE, np.ones(64))
