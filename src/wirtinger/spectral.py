@@ -62,10 +62,14 @@ def build_mesh(a, b, n):
     if not bps:
         return Mesh(nodes=base)
     bp = np.unique(np.concatenate(bps))
-    # keep breakpoints verbatim, drop uniform nodes that (circularly) collide
-    diff = np.abs(base[:, None] - bp[None, :])
-    diff = np.minimum(diff, TWO_PI - diff)
-    keep = np.min(diff, axis=1) > tol
+    # keep breakpoints verbatim, drop uniform nodes that (circularly)
+    # collide; only a node's circular neighbours among the sorted
+    # breakpoints can (bp[0] == 0, and bp[-1] wraps around)
+    right = np.searchsorted(bp, base)
+    keep = np.ones(n, dtype=bool)
+    for nearest in (bp[right - 1], bp[right % bp.size]):
+        diff = np.abs(base - nearest)
+        keep &= np.minimum(diff, TWO_PI - diff) > tol
     return Mesh(nodes=np.unique(np.concatenate((base[keep], bp))))
 
 

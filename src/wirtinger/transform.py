@@ -226,6 +226,50 @@ def _bar_a_pattern(tau, L):
     return np.where(lo, 1.0, float(L))
 
 
+def _quarter(t):
+    """Quarter index of t in [0, 4pi): 4 per wrap plus the quarter of t mod 2pi.
+
+    Its parity is the lo/hi split of `_bar_a_pattern` (even means lo).
+    """
+    tm = np.mod(t, TWO_PI)
+    return (4 * (t >= TWO_PI) + (tm >= math.pi / 2) + (tm >= math.pi)
+            + (tm >= 3 * math.pi / 2))
+
+
+def _phase_scan(gv, probes, phases, L):
+    """max_i |gv_i - _bar_a_pattern(probes_i + phi, L)| for every phi in phases.
+
+    For phi in [0, 2pi) the times fl(probes_i + phi) lie in [0, 4pi) and
+    never decrease with i, and np.mod is exact there, so the quarter index
+    never decreases either. A bisection on the actual floats finds its 7
+    run boundaries per phase; the residual is the max of |gv - 1| or
+    |gv - L| over each run, by the parity of the run.
+    """
+    n = probes.size
+    levels = np.arange(1, 8)
+    lo = np.zeros((phases.size, 7), dtype=np.intp)
+    hi = np.full((phases.size, 7), n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        active = lo < hi
+        up = _quarter(probes[np.minimum(mid, n - 1)] + phases[:, None]) >= levels
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid + 1, lo)
+    # run j of a phase is [edges[j], edges[j + 1]); a trailing column n
+    # closes the last run and indexes the zero pad
+    edges = np.hstack((np.zeros((phases.size, 1), dtype=np.intp), lo,
+                       np.full((phases.size, 1), n, dtype=np.intp)))
+    dev = np.zeros((2, n + 1))
+    dev[0, :n] = np.abs(gv - 1.0)
+    dev[1, :n] = np.abs(gv - L)
+    run_max = np.maximum.reduceat(dev, edges.ravel(), axis=1)
+    run_max = run_max.reshape(2, phases.size, 9)[:, :, :8]
+    run_max = np.where(np.arange(8) % 2 == 0, run_max[0], run_max[1])
+    # reduceat gives an empty run its first element; 0 is neutral instead,
+    # as every deviation is >= 0
+    return np.max(np.where(np.diff(edges) > 0, run_max, 0.0), axis=1)
+
+
 def functional_eq_residual(g, n_probes=2048, n_phases=4096):
     """Phase-minimized sup-residual of the sharpness functional equation.
 
@@ -243,11 +287,7 @@ def functional_eq_residual(g, n_probes=2048, n_phases=4096):
         return float(np.max(np.abs(gv - _bar_a_pattern(probes + phi, L))))
 
     phases = np.arange(n_phases) * (TWO_PI / n_phases)
-    grid_res = np.empty(n_phases)
-    for start in range(0, n_phases, 256):
-        block = phases[start:start + 256]
-        ref = _bar_a_pattern(probes[None, :] + block[:, None], L)
-        grid_res[start:start + 256] = np.max(np.abs(gv[None, :] - ref), axis=1)
+    grid_res = _phase_scan(gv, probes, phases, L)
     k = int(np.argmin(grid_res))
     best_phi, best_res = float(phases[k]), float(grid_res[k])
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,87 @@ def test_build_mesh_includes_breakpoints():
     for bp in (0, 2 * math.pi / 3, math.pi, math.pi + 2 * math.pi / 3):
         assert np.min(np.abs(mesh.nodes - bp)) < 1e-15
     assert mesh.n >= 16
+
+
+def _dense_mesh_nodes(a, b, n):
+    """The all-pairs collision check that build_mesh replaced (reference)."""
+    base = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    tol = 1e-9 * (TWO_PI / n)
+    bps = [w.breakpoints for w in (a, b) if w.kind == "piecewise_constant"]
+    if not bps:
+        return base
+    bp = np.unique(np.concatenate(bps))
+    keep = np.empty(n, dtype=bool)
+    for rows in np.array_split(np.arange(n), max(1, n // 512)):
+        # row blocks keep the n x #breakpoints temporaries small
+        diff = np.abs(base[rows, None] - bp[None, :])
+        diff = np.minimum(diff, TWO_PI - diff)
+        keep[rows] = np.min(diff, axis=1) > tol
+    return np.unique(np.concatenate((base[keep], bp)))
+
+
+def _assert_mesh_matches_dense(a, b, n):
+    nodes = build_mesh(a, b, n).nodes
+    assert np.array_equal(nodes, _dense_mesh_nodes(a, b, n))
+    return nodes
+
+
+def test_build_mesh_matches_dense_on_uniform_nodes():
+    n = 2048
+    base = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    w = PeriodicWeight.piecewise(base[[0, 5, 700, 1024, 2047]],
+                                 [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert _assert_mesh_matches_dense(w, ONE, n).size == n
+
+
+def test_build_mesh_matches_dense_on_near_collisions():
+    # within tol of uniform nodes, on both sides and across the wrap:
+    # 2pi - 1e-14 collides with node 0 circularly
+    n = 2048
+    base = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    near = [base[100] + 1e-13, base[700] - 1e-13, base[1500] + 1e-13,
+            base[1900] - 1e-13, TWO_PI - 1e-14]
+    w = PeriodicWeight.piecewise(near, [1.0, 2.0, 3.0, 4.0, 5.0])
+    nodes = _assert_mesh_matches_dense(w, ONE, n)
+    # five uniform nodes dropped, six breakpoints (0 included) kept
+    assert nodes.size == n + 1
+    assert not np.any(np.isin(base[[100, 700, 1500, 1900]], nodes))
+
+
+def test_build_mesh_matches_dense_for_one_piece_weight():
+    pwc = PeriodicWeight.piecewise([0.0, 1.0, 2.5, 4.0], [1.0, 3.0, 2.0, 5.0])
+    for a, b in ((ONE, pwc), (pwc, ONE), (ONE, ONE)):
+        for n in (8, 100, 2048):
+            _assert_mesh_matches_dense(a, b, n)
+
+
+@pytest.mark.parametrize("n", [8, 2048, 8192])
+def test_build_mesh_matches_dense_on_random_breakpoints(n):
+    rng = np.random.default_rng(5000)
+    bp = np.sort(rng.uniform(0.0, TWO_PI, 5000))
+    w = PeriodicWeight.piecewise(bp, rng.uniform(1.0, 4.0, 5000))
+    _assert_mesh_matches_dense(w, w.power(-1.0), n)
+
+
+def test_build_mesh_many_breakpoints_is_fast():
+    # the dense collision matrix would be 65536 x 20000 doubles (~10 GiB)
+    rng = np.random.default_rng(20000)
+    bp = np.sort(rng.uniform(0.0, TWO_PI, 20000))
+    w = PeriodicWeight.piecewise(bp, rng.uniform(1.0, 4.0, 20000))
+    start = time.perf_counter()
+    mesh = build_mesh(w, ONE, 65536)
+    assert time.perf_counter() - start < 1.0
+    assert np.all(np.isin(w.breakpoints, mesh.nodes))
+    assert mesh.n > 65536
+
+
+def test_best_constant_many_breakpoint_reciprocal_pair():
+    # C(a, 1/a) = (mean a)^2
+    rng = np.random.default_rng(5001)
+    bp = np.sort(rng.uniform(0.0, TWO_PI, 5000))
+    a = PeriodicWeight.piecewise(bp, rng.uniform(1.0, 4.0, 5000))
+    res = best_constant(a, a.power(-1.0), 8192)
+    assert res.constant == pytest.approx(a.mean() ** 2, rel=1e-6)
 
 
 def test_build_mesh_rejects_small_n():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, build_cov, c_pq, functional_eq_residual,
                        h_pq, h_pq_inv, sine_family, substitution_check,
                        transported_geometric_mean)
 from wirtinger.sharpness import (extremal_fn_ps, extremal_weight_pq,
                                  extremal_weight_ps)
+from wirtinger.transform import _bar_a_pattern, _phase_scan
 
 TWO_PI = 2 * math.pi
 
@@ -153,6 +156,91 @@ def test_functional_eq_residual_nonsharp():
         build_cov(sine_family(4.0), PeriodicWeight.constant(1.0)))
     res, _ = functional_eq_residual(g)
     assert res > 0.1
+
+
+def _dense_phase_scan(gv, probes, phases, L):
+    """The 256-row block loop that _phase_scan replaced (reference)."""
+    grid_res = np.empty(phases.size)
+    for start in range(0, phases.size, 256):
+        block = phases[start:start + 256]
+        ref = _bar_a_pattern(probes[None, :] + block[:, None], L)
+        grid_res[start:start + 256] = np.max(np.abs(gv[None, :] - ref), axis=1)
+    return grid_res
+
+
+def _scan_grids(n_probes, n_phases):
+    probes = (np.arange(n_probes) + 0.5) * (TWO_PI / n_probes)
+    phases = np.arange(n_phases) * (TWO_PI / n_phases)
+    return probes, phases
+
+
+def _assert_scan_matches_dense(gv, L, n_probes, n_phases):
+    probes, phases = _scan_grids(n_probes, n_phases)
+    assert np.array_equal(_phase_scan(gv, probes, phases, L),
+                          _dense_phase_scan(gv, probes, phases, L))
+
+
+@pytest.mark.parametrize("n_probes,n_phases", [(2048, 4096), (100, 37)])
+def test_phase_scan_matches_dense_on_grid_rotations(n_probes, n_phases):
+    # a square wave rotated by an exact grid phase ties that phase at 0
+    probes, phases = _scan_grids(n_probes, n_phases)
+    for k in (1, n_phases // 3, n_phases - 1):
+        for L in (1.0, 4.0):
+            gv = _bar_a_pattern(probes - phases[k], L)
+            _assert_scan_matches_dense(gv, L, n_probes, n_phases)
+
+
+@pytest.mark.parametrize("a,b", [
+    (extremal_weight_pq(4.0, 1.0, 0.0).weight, PeriodicWeight.constant(1.0)),
+    (extremal_weight_pq(9.0, 1.0, 1.0).weight,
+     extremal_weight_pq(9.0, 1.0, 1.0).weight),
+    (extremal_weight_ps(4.0), extremal_weight_ps(4.0)),
+    (sine_family(4.0), PeriodicWeight.constant(1.0)),
+])
+def test_phase_scan_matches_dense_on_verify_pairs(a, b):
+    g = transported_geometric_mean(build_cov(a, b))
+    bounds = g.ess_bounds()
+    probes, _ = _scan_grids(2048, 4096)
+    gv = np.asarray(g.eval(probes)) / bounds.inf
+    _assert_scan_matches_dense(gv, bounds.sup / bounds.inf, 2048, 4096)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1.0, 10.0),
+       st.integers(8, 4096), st.integers(8, 4096))
+@settings(max_examples=50, deadline=None)
+def test_phase_scan_matches_dense_property(seed, L, n_probes, n_phases):
+    gv = np.random.default_rng(seed).uniform(1.0, L, n_probes)
+    _assert_scan_matches_dense(gv, L, n_probes, n_phases)
+
+
+def _rotated_square_wave():
+    return PeriodicWeight.piecewise(0.3 + np.arange(4) * (math.pi / 2),
+                                    [1.0, 4.0, 1.0, 4.0])
+
+
+def _random_pwc():
+    rng = np.random.default_rng(2026)
+    return PeriodicWeight.piecewise(np.sort(rng.uniform(0.0, TWO_PI, 40)),
+                                    rng.uniform(1.0, 4.0, 40))
+
+
+@pytest.mark.parametrize("make_g,residual,phase", [
+    (lambda: transported_geometric_mean(build_cov(extremal_weight_ps(4.0),
+                                                  extremal_weight_ps(4.0))),
+     "0x0.0p+0", "0x0.0p+0"),
+    (lambda: transported_geometric_mean(build_cov(
+        extremal_weight_pq(4.0, 1.0, 0.0).weight, PeriodicWeight.constant(1.0))),
+     "0x0.0p+0", "0x0.0p+0"),
+    (_rotated_square_wave, "0x0.0p+0", "0x1.6b71687491e42p+1"),
+    (lambda: transported_geometric_mean(build_cov(
+        sine_family(4.0), PeriodicWeight.constant(1.0))),
+     "0x1.ffffef1c152a6p-1", "0x0.0p+0"),
+    (_random_pwc, "0x1.6d61f0c92d675p+1", "0x1.cb753a9c7e586p-1"),
+], ids=["bar-a", "bar-gamma", "rotated-pwc", "sine", "random-pwc"])
+def test_functional_eq_residual_golden_values(make_g, residual, phase):
+    # float.hex of (residual, phase) as computed by the dense phase grid
+    res, phi = functional_eq_residual(make_g())
+    assert (float(res).hex(), float(phi).hex()) == (residual, phase)
 
 
 def test_substitution_vanishing_first_moment_stays_finite():
