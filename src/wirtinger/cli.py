@@ -2,14 +2,15 @@
 
 Reports are JSON with a versioned schema and deterministic float
 formatting (17 significant digits); function dumps go to CSV next to
-the report.  Exit codes: 2 for unparsable or out-of-domain arguments,
-3 for solver failures.
+the report.  Exit codes: 2 for unparsable, missing or out-of-domain
+arguments, 3 for solver failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import os
 import sys
@@ -102,10 +103,8 @@ def _json(obj):
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
     if isinstance(obj, str):
-        import json
         return json.dumps(obj)
     if isinstance(obj, dict):
-        import json
         items = (f"{json.dumps(str(k))}: {_json(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -125,18 +124,24 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _csv_cell(text):
+    """Quote a cell per RFC 4180 only when it holds a comma or a newline."""
+    if "," in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _report_csv(report):
     rows = report["results"].get("rows")
     if rows:
-        keys = list(rows[0].keys())
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join(_json(row.get(k)) for k in keys))
-        return "\n".join(lines) + "\n"
-    lines = ["key,value"]
-    for k, v in report["results"].items():
-        lines.append(f"{k},{_json(v)}")
-    return "\n".join(lines) + "\n"
+        # rows may differ in their keys (a sweep row can hold "error")
+        header = list(dict.fromkeys(k for row in rows for k in row))
+        table = [[_json(row.get(k)) for k in header] for row in rows]
+    else:
+        header = ["key", "value"]
+        table = [[k, _json(v)] for k, v in report["results"].items()]
+    return "".join(",".join(map(_csv_cell, line)) + "\n"
+                   for line in [header, *table])
 
 
 def _flt(x):
@@ -148,6 +153,8 @@ def _flt(x):
 
 def _cmd_bound(args):
     if args.gamma is not None:
+        if args.p is None or args.q is None:
+            raise ValueError("bound --gamma needs both --p and --q")
         pair = sharpness.PowerWeightPair.create(parse_weight(args.gamma),
                                                 args.p, args.q)
         return {"bound": sharpness.bound_power(pair), "formula": "power",
@@ -196,7 +203,7 @@ def _cmd_verify(args):
                                             args.p, args.q)
     report = sharpness.verify_sharpness(pair, n=args.n)
     is_sharp, phase, residual = sharpness.sharpness_characterization(
-        pair.a, pair.b, n=args.n, cross_check=False)
+        pair.a, pair.b, cross_check=False)
     results = {"bound": report.bound, "computed": report.computed,
                "relative_gap": report.relative_gap, "sharp": report.sharp,
                "estimated_order": _flt(report.estimated_order),
@@ -209,17 +216,20 @@ def _cmd_verify(args):
     return results
 
 
+def _sweep_row(row, gamma, p, q, n):
+    """`row` extended by the verification of (gamma^p, gamma^q) at n."""
+    pair = sharpness.PowerWeightPair.create(gamma, p, q)
+    rep = sharpness.verify_sharpness(pair, n=n)
+    row.update(bound=rep.bound, computed=rep.computed,
+               relative_gap=rep.relative_gap, sharp=rep.sharp)
+    return row
+
+
 def _cmd_sweep(args):
-    rows = []
-    if args.L_list:
-        for L in args.L_list:
-            pair = sharpness.PowerWeightPair.create(
-                sharpness.extremal_weight_ps(L), 1.0, 1.0)
-            rep = sharpness.verify_sharpness(pair, n=args.n)
-            rows.append({"L": L, "bound": rep.bound,
-                         "computed": rep.computed,
-                         "relative_gap": rep.relative_gap,
-                         "sharp": rep.sharp})
+    # an out-of-domain L is an argument error (exit 2), not a row
+    rows = [_sweep_row({"L": L}, sharpness.extremal_weight_ps(L), 1.0, 1.0,
+                       args.n)
+            for L in args.L_list or []]
     for M, p, q in itertools.product(args.M_list or [],
                                      args.p_list or [],
                                      args.q_list or []):
@@ -229,10 +239,7 @@ def _cmd_sweep(args):
                 gamma = sine_family(M)
             else:
                 gamma = sharpness.extremal_weight_pq(M, p, q).weight
-            pair = sharpness.PowerWeightPair.create(gamma, p, q)
-            rep = sharpness.verify_sharpness(pair, n=args.n)
-            row.update(bound=rep.bound, computed=rep.computed,
-                       relative_gap=rep.relative_gap, sharp=rep.sharp)
+            _sweep_row(row, gamma, p, q, args.n)
         except ValueError as exc:
             row["error"] = str(exc)
         rows.append(row)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,16 +36,16 @@ class PowerWeightPair:
     @staticmethod
     def create(gamma, p, q):
         bounds = gamma.ess_bounds()
-        if abs(bounds.inf - 1.0) > 1e-9:
+        if not bounds.is_normalized:
             gamma = gamma.scale(1.0 / bounds.inf)
         return PowerWeightPair(gamma=gamma, p=float(p), q=float(q),
                                M=bounds.L_or_M)
 
-    @property
+    @cached_property
     def a(self):
         return self.gamma.power(self.p)
 
-    @property
+    @cached_property
     def b(self):
         return self.gamma.power(self.q)
 
@@ -212,6 +213,13 @@ def closed_form_pq0(a, amplitude=1.0, phase=0.0):
     return constant, profile
 
 
+def _attained(a, b, bound, n):
+    """C(a, b) converged on n/4, n/2, n; its gap to `bound`; gap <= tol."""
+    result = spectral.converge(a, b, [n // 4, n // 2, n])
+    gap = (bound - result.constant) / bound
+    return result, gap, abs(gap) <= SHARPNESS_TOL
+
+
 def verify_sharpness(pair, n=2048):
     """Compare the spectral constant of (gamma^p, gamma^q) to the bound.
 
@@ -222,10 +230,9 @@ def verify_sharpness(pair, n=2048):
     if pair.p + pair.q < 0:
         raise ValueError("verification requires p + q >= 0")
     bound = bound_power(pair)
-    result = spectral.converge(pair.a, pair.b, [n // 4, n // 2, n])
-    gap = (bound - result.constant) / bound
+    result, gap, attained = _attained(pair.a, pair.b, bound, n)
     return BoundReport(bound=bound, computed=result.constant,
-                       relative_gap=gap, sharp=abs(gap) <= SHARPNESS_TOL,
+                       relative_gap=gap, sharp=attained,
                        n=result.n, estimated_order=result.estimated_order)
 
 
@@ -243,10 +250,8 @@ def sharpness_characterization(a, b, n=2048, cross_check=True):
     residual, phase = transform.functional_eq_residual(g)
     is_sharp = residual <= 1e-6
     if cross_check:
-        bound = bound_general(a, b)
-        result = spectral.converge(a, b, [n // 4, n // 2, n])
-        gap = (bound - result.constant) / bound
-        if (abs(gap) <= SHARPNESS_TOL) != is_sharp:
+        _, gap, attained = _attained(a, b, bound_general(a, b), n)
+        if attained != is_sharp:
             raise RuntimeError(
                 "functional-equation verdict disagrees with spectral gap "
                 f"(residual {residual:.3g}, gap {gap:.3g})")

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .weights import TWO_PI, PeriodicWeight, split_panels
+from .weights import PANELS, TWO_PI, PeriodicWeight, split_panels
 
 
 class SolverError(RuntimeError):
@@ -163,7 +163,7 @@ def best_constant(a, b, n=2048):
                           residual=residual)
 
 
-def rayleigh_quotient(a, b, w, wprime=None, panels=2048):
+def rayleigh_quotient(a, b, w, wprime=None):
     """Quotient int a w^2 / int b w'^2 plus the constraint residual.
 
     `w` is a callable, which needs its analytic derivative `wprime`, or
@@ -183,7 +183,7 @@ def rayleigh_quotient(a, b, w, wprime=None, panels=2048):
     if wprime is None:
         raise ValueError("a callable w needs its derivative wprime")
     bps = [wt.breakpoints for wt in (a, b) if wt.kind == "piecewise_constant"]
-    lefts, _, widths = split_panels(bps, panels)
+    lefts, _, widths = split_panels(bps, PANELS)
     pts = (lefts[:, None] + widths[:, None] * _GP[None, :]).ravel()
     gw = (widths[:, None] * _GW[None, :]).ravel()
     av = np.asarray(a.eval(pts))

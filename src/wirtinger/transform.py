@@ -14,8 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import (TWO_PI, PeriodicWeight, product, split_panels,
-                      sqrt_ratio)
+from .weights import (TWO_PI, PeriodicWeight, match_scalar, product,
+                      split_panels, sqrt_ratio)
+
+#: probe points and grid phases of the functional-equation residual
+N_PROBES = 2048
+N_PHASES = 4096
 
 
 class PiecewiseLinearMap:
@@ -55,9 +59,7 @@ class PiecewiseLinearMap:
         idx = np.searchsorted(self.breakpoints, rem, side="right") - 1
         out = (TWO_PI * n_per + self.values[idx]
                + self.slopes[idx] * (rem - self.breakpoints[idx]))
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        return match_scalar(x, out)
 
     def inverse(self):
         """Exact inverse map (also piecewise linear)."""
@@ -80,9 +82,7 @@ class ChangeOfVariables:
         if self.forward_map is not None:
             return self.forward_map(theta)
         out = self.density.antiderivative(np.asarray(theta, dtype=float)) / self.c
-        if np.ndim(theta) == 0:
-            return float(out)
-        return out
+        return match_scalar(theta, out)
 
     def inverse(self, tau):
         """theta(tau): exact piecewise-linear inverse or bisection."""
@@ -100,9 +100,7 @@ class ChangeOfVariables:
             lo = np.where(too_low, mid, lo)
             hi = np.where(too_low, hi, mid)
         out = TWO_PI * n_per + 0.5 * (lo + hi)
-        if np.ndim(tau) == 0:
-            return float(out)
-        return out
+        return match_scalar(tau, out)
 
 
 def build_cov(a, b):
@@ -121,7 +119,7 @@ def build_cov(a, b):
 def transported_geometric_mean(cov):
     """The weight tau -> sqrt(a(theta(tau)) * b(theta(tau)))."""
     a, b = cov.a, cov.b
-    if (a.kind == "piecewise_constant" and b.kind == "piecewise_constant"):
+    if cov.forward_map is not None:
         g0 = product(a, b)
         tau_bp = cov.forward(g0.breakpoints)
         return PeriodicWeight.piecewise(tau_bp, np.sqrt(g0.values))
@@ -153,9 +151,7 @@ def substitution_check(cov, w, wprime, panels=4096):
     lhs = np.array([np.sum(av * wv**2 * dth),
                     np.sum(av * wv * dth),
                     np.sum(bv * wpv**2 * dth)])
-    scales = np.array([np.sum(av * wv**2 * dth),
-                       np.sum(av * np.abs(wv) * dth),
-                       np.sum(bv * wpv**2 * dth)])
+    scales = np.array([lhs[0], np.sum(av * np.abs(wv) * dth), lhs[2]])
 
     lo, hi, dtau = split_panels([cov.forward(bp) for bp in bps], panels)
     tau = 0.5 * (lo + hi)
@@ -270,7 +266,7 @@ def _phase_scan(gv, probes, phases, L):
     return np.max(np.where(np.diff(edges) > 0, run_max, 0.0), axis=1)
 
 
-def functional_eq_residual(g, n_probes=2048, n_phases=4096):
+def functional_eq_residual(g):
     """Phase-minimized sup-residual of the sharpness functional equation.
 
     Normalizes g to infimum 1 and compares it against the square-wave
@@ -280,21 +276,21 @@ def functional_eq_residual(g, n_probes=2048, n_phases=4096):
     """
     bounds = g.ess_bounds()
     L = bounds.sup / bounds.inf
-    probes = (np.arange(n_probes) + 0.5) * (TWO_PI / n_probes)
+    probes = (np.arange(N_PROBES) + 0.5) * (TWO_PI / N_PROBES)
     gv = np.asarray(g.eval(probes)) / bounds.inf
 
     def residual(phi):
         return float(np.max(np.abs(gv - _bar_a_pattern(probes + phi, L))))
 
-    phases = np.arange(n_phases) * (TWO_PI / n_phases)
+    phases = np.arange(N_PHASES) * (TWO_PI / N_PHASES)
     grid_res = _phase_scan(gv, probes, phases, L)
     k = int(np.argmin(grid_res))
     best_phi, best_res = float(phases[k]), float(grid_res[k])
 
     # golden-section refinement; only pays off for continuous mismatch
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = best_phi - TWO_PI / n_phases
-    hi = best_phi + TWO_PI / n_phases
+    lo = best_phi - TWO_PI / N_PHASES
+    hi = best_phi + TWO_PI / N_PHASES
     x1 = hi - gr * (hi - lo)
     x2 = lo + gr * (hi - lo)
     f1, f2 = residual(x1), residual(x2)

@@ -21,7 +21,15 @@ POSITIVITY_FLOOR = 1e-12
 PROBE_POINTS = 4096
 
 #: midpoint panels per period for closed-form quadrature
-DEFAULT_PANELS = 2048
+PANELS = 2048
+
+#: edges of the closed-form quadrature panels, shared by every weight
+_GRID_EDGES = np.linspace(0.0, TWO_PI, PANELS + 1)
+
+
+def match_scalar(theta, out):
+    """`out` as a float when the angle argument `theta` is a scalar."""
+    return float(out) if np.ndim(theta) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ class PeriodicWeight:
     """
 
     __slots__ = ("kind", "breakpoints", "values", "evaluator",
-                 "declared_bounds", "_cum", "_grid_cum", "_grid_edges")
+                 "declared_bounds", "_cum", "_grid_cum", "_range")
 
     def __init__(self, kind, breakpoints=None, values=None, evaluator=None,
                  declared_bounds=None):
@@ -56,6 +64,7 @@ class PeriodicWeight:
             if not (0.0 < lo <= hi):
                 raise ValueError("declared_bounds must satisfy 0 < inf <= sup")
             self.declared_bounds = (lo, hi)
+        self._grid_cum = None
 
         if kind == "piecewise_constant":
             bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
@@ -73,13 +82,12 @@ class PeriodicWeight:
                 vals = np.concatenate(([vals[-1]], vals))
             if np.min(vals) < POSITIVITY_FLOOR:
                 raise ValueError("weight values must be >= 1e-12")
+            samples = vals
             self.breakpoints = bp
             self.values = vals
             self.evaluator = None
             edges = np.concatenate((bp, [TWO_PI]))
             self._cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(edges))))
-            self._grid_cum = None
-            self._grid_edges = None
         else:
             if evaluator is None:
                 raise ValueError("sampled_closed_form requires an evaluator")
@@ -87,12 +95,12 @@ class PeriodicWeight:
             self.values = None
             self.evaluator = evaluator
             self._cum = None
-            self._grid_cum = None
-            self._grid_edges = None
-            probe = self.eval(np.linspace(0.0, TWO_PI, PROBE_POINTS,
-                                          endpoint=False))
-            if np.min(probe) < POSITIVITY_FLOOR:
+            samples = self.eval(np.linspace(0.0, TWO_PI, PROBE_POINTS,
+                                            endpoint=False))
+            if np.min(samples) < POSITIVITY_FLOOR:
                 raise ValueError("weight is not bounded away from zero")
+        # exact range of a piecewise-constant weight; a closed form's probe
+        self._range = (float(np.min(samples)), float(np.max(samples)))
 
     # -- constructors -------------------------------------------------
 
@@ -120,9 +128,7 @@ class PeriodicWeight:
             out = self.values[idx]
         else:
             out = np.asarray(self.evaluator(thm), dtype=float)
-        if np.ndim(theta) == 0:
-            return float(out)
-        return out
+        return match_scalar(theta, out)
 
     __call__ = eval
 
@@ -132,17 +138,13 @@ class PeriodicWeight:
         """Essential infimum/supremum.
 
         Exact for piecewise-constant weights.  For closed forms the
-        declared bounds win when present, otherwise a dense probe grid
-        is used.
+        declared bounds win when present, otherwise the extremes of the
+        dense probe grid taken at construction are used.
         """
-        if self.kind == "piecewise_constant":
-            lo, hi = float(np.min(self.values)), float(np.max(self.values))
-        elif self.declared_bounds is not None:
-            lo, hi = self.declared_bounds
+        if self.kind == "piecewise_constant" or self.declared_bounds is None:
+            lo, hi = self._range
         else:
-            probe = self.eval(np.linspace(0.0, TWO_PI, PROBE_POINTS,
-                                          endpoint=False))
-            lo, hi = float(np.min(probe)), float(np.max(probe))
+            lo, hi = self.declared_bounds
         if lo <= 0.0:
             raise ValueError("essential infimum must be positive")
         return ClassMembership(inf=lo, sup=hi,
@@ -151,49 +153,35 @@ class PeriodicWeight:
 
     # -- algebra ---------------------------------------------------------
 
-    def power(self, r):
-        """Pointwise power w(theta)**r as a new weight."""
-        r = float(r)
+    def _map(self, f):
+        """Pointwise f(w) as a new weight, for a monotone f."""
         if self.kind == "piecewise_constant":
-            return PeriodicWeight.piecewise(self.breakpoints,
-                                            self.values ** r)
+            return PeriodicWeight.piecewise(self.breakpoints, f(self.values))
         base = self.evaluator
         bounds = None
         if self.declared_bounds is not None:
-            lo, hi = self.declared_bounds[0] ** r, self.declared_bounds[1] ** r
+            lo, hi = f(self.declared_bounds[0]), f(self.declared_bounds[1])
             bounds = (min(lo, hi), max(lo, hi))
-        return PeriodicWeight.from_callable(lambda th: base(th) ** r,
+        return PeriodicWeight.from_callable(lambda th: f(base(th)),
                                             declared_bounds=bounds)
+
+    def power(self, r):
+        """Pointwise power w(theta)**r as a new weight."""
+        r = float(r)
+        return self._map(lambda x: x ** r)
 
     def scale(self, s):
         """Pointwise multiple s*w."""
         s = float(s)
-        if self.kind == "piecewise_constant":
-            return PeriodicWeight.piecewise(self.breakpoints, s * self.values)
-        base = self.evaluator
-        bounds = None
-        if self.declared_bounds is not None:
-            bounds = (s * self.declared_bounds[0], s * self.declared_bounds[1])
-        return PeriodicWeight.from_callable(lambda th: s * base(th),
-                                            declared_bounds=bounds)
+        return self._map(lambda x: s * x)
 
     # -- quadrature -------------------------------------------------------
 
-    def _ensure_grid(self, panels):
-        if self._grid_cum is not None and self._grid_edges.size == panels + 1:
-            return
-        edges = np.linspace(0.0, TWO_PI, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        vals = self.eval(mids)
-        cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(edges))))
-        self._grid_edges = edges
-        self._grid_cum = cum
-
-    def antiderivative(self, theta, panels=DEFAULT_PANELS):
+    def antiderivative(self, theta):
         """Integral of w from 0 to theta, for any real theta.
 
         Exact for piecewise-constant weights; composite midpoint with
-        `panels` panels per period otherwise.
+        PANELS panels per period otherwise.
         """
         th = np.asarray(theta, dtype=float)
         n_per = np.floor(th / TWO_PI)
@@ -203,27 +191,28 @@ class PeriodicWeight:
             idx = np.searchsorted(self.breakpoints, rem, side="right") - 1
             part = self._cum[idx] + self.values[idx] * (rem - self.breakpoints[idx])
         else:
-            self._ensure_grid(panels)
+            if self._grid_cum is None:
+                mids = 0.5 * (_GRID_EDGES[:-1] + _GRID_EDGES[1:])
+                self._grid_cum = np.concatenate(
+                    ([0.0], np.cumsum(self.eval(mids) * np.diff(_GRID_EDGES))))
             total = self._grid_cum[-1]
-            h = TWO_PI / panels
-            k = np.minimum((rem / h).astype(int), panels - 1)
-            x_k = self._grid_edges[k]
+            h = TWO_PI / PANELS
+            k = np.minimum((rem / h).astype(int), PANELS - 1)
+            x_k = _GRID_EDGES[k]
             d = rem - x_k
             part = self._grid_cum[k] + d * self.eval(x_k + 0.5 * d)
         out = n_per * total + part
-        if np.ndim(theta) == 0:
-            return float(out)
-        return out
+        return match_scalar(theta, out)
 
-    def integrate(self, theta0, theta1, panels=DEFAULT_PANELS):
+    def integrate(self, theta0, theta1):
         """Integral of w over [theta0, theta1]; bounds must be ordered."""
         if theta1 < theta0:
             raise ValueError("integrate requires theta0 <= theta1")
-        return self.antiderivative(theta1, panels) - self.antiderivative(theta0, panels)
+        return self.antiderivative(theta1) - self.antiderivative(theta0)
 
-    def mean(self, panels=DEFAULT_PANELS):
+    def mean(self):
         """Average value over one period."""
-        return self.integrate(0.0, TWO_PI, panels) / TWO_PI
+        return self.integrate(0.0, TWO_PI) / TWO_PI
 
 
 def split_panels(breakpoints, panels):

@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +100,8 @@ def test_parse_error_exit_code(capsys):
     ["solve", "--a", "const:1", "--b", "const:1", "--n", "4"],
     ["solve", "--a", "const:1", "--b", "const:1", "--n-list", "64,32,128"],
     ["extremal", "--family", "pq", "--M", "1"],
+    ["bound", "--gamma", "bar-gamma:4,1,0", "--p", "1"],
+    ["bound", "--gamma", "bar-gamma:4,1,0", "--q", "0"],
 ])
 def test_out_of_domain_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -200,3 +204,56 @@ def test_golden_bytes(argv, digests, tmp_path, monkeypatch):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir())}
     assert written == digests
+
+
+def _csv_rows(capsys, argv):
+    assert main(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    return rows
+
+
+def test_csv_sweep_header_covers_every_row(capsys):
+    # the first row is an error row; the second must keep its numbers
+    rows = _csv_rows(capsys, ["sweep", "--M-list", "1,4", "--p-list", "1",
+                              "--q-list", "0", "--n", "128"])
+    assert rows[0] == ["M", "p", "q", "error", "bound", "computed",
+                       "relative_gap", "sharp"]
+    errored, verified = (dict(zip(rows[0], row)) for row in rows[1:])
+    assert errored["error"] == "extremal family requires M > 1"
+    assert errored["sharp"] == "null" and verified["error"] == "null"
+    assert verified["sharp"] == "true"
+    assert float(verified["computed"]) == pytest.approx(2.895, abs=2e-3)
+
+
+def test_csv_nested_cell_is_quoted(capsys):
+    rows = _csv_rows(capsys, ["verify", "--gamma", "bar-gamma:4,1,0",
+                              "--p", "1", "--q", "0", "--n", "128"])
+    cells = dict(rows[1:])
+    assert json.loads(cells["characterization"]) == {
+        "is_sharp": True, "phase": 0, "residual": 0}
+    assert cells["sharp"] == "true"
+
+
+# the commands of the benchmark's CLI byte reference, keyed as in its file
+REFERENCE_COMMANDS = {
+    "bound": ["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
+    "extremal": ["extremal", "--family", "pq", "--M", "4", "--p", "1",
+                 "--q", "0", "--samples", "4096", "--out", "ext.json"],
+    "solve": ["solve", "--a", "sine:4", "--b", "const:1", "--n", "2048"],
+    "verify": ["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1",
+               "--q", "0"],
+}
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "reference" / "cli.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_COMMANDS))
+def test_benchmark_reference_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WIRTINGER_DEFAULT_N", raising=False)
+    assert main(REFERENCE_COMMANDS[name]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert capsys.readouterr().out == REFERENCE[name]["stdout"]
+    assert written == REFERENCE[name]["files"]

@@ -80,6 +80,12 @@ def test_power_pair_normalizes_gamma():
     assert pair.M == pytest.approx(4.0, rel=1e-12)
 
 
+def test_power_pair_builds_each_power_once():
+    pair = PowerWeightPair.create(sine_family(4.0), 1.0, 0.0)
+    assert pair.a is pair.a
+    assert pair.b is pair.b
+
+
 # -- extremal profiles -------------------------------------------------
 
 
@@ -243,6 +249,15 @@ def test_verify_sharpness_sine_is_strict():
     rep = verify_sharpness(PowerWeightPair.create(sine_family(4.0), 1.0, 0.0),
                            n=1024)
     assert not rep.sharp and rep.relative_gap > 0.01
+
+
+def test_verify_sharpness_sine_golden_values():
+    # float.hex of the Richardson constant, the bound and their gap
+    rep = verify_sharpness(PowerWeightPair.create(sine_family(4.0), 1.0, 0.0),
+                           n=512)
+    assert (rep.computed.hex(), rep.bound.hex(), rep.relative_gap.hex()) == (
+        "0x1.494676b93b50fp+1", "0x1.ef93a8c2a5db2p+1",
+        "0x1.57a01b3f71b89p-2")
 
 
 def test_verify_sharpness_pq0_always_sharp():

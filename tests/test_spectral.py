@@ -180,6 +180,14 @@ def test_rayleigh_quotient_extremal_attains():
     assert resid <= 1e-8
 
 
+def test_rayleigh_quotient_extremal_golden_values():
+    # float.hex of the Gauss-panel quotient and its constraint residual
+    prof = extremal_fn_ps(4.0)
+    q, resid = rayleigh_quotient(ABAR, ABAR, prof.fn, prof.fn_prime)
+    assert (float(q).hex(), float(resid).hex()) == (
+        "0x1.6f4b3b3dcbe10p+1", "0x0.0p+0")
+
+
 def test_rayleigh_quotient_node_samples():
     theta = np.linspace(0, TWO_PI, 512, endpoint=False)
     q, resid = rayleigh_quotient(ONE, ONE, np.cos(theta))

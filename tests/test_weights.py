@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirtinger import PeriodicWeight, sine_family
+from wirtinger import PeriodicWeight, product, sine_family
 from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
+from wirtinger.weights import PROBE_POINTS
 
 TWO_PI = 2 * math.pi
 
@@ -151,3 +152,26 @@ def test_piecewise_integrate_is_exact():
     w = PeriodicWeight.piecewise([0.0, 1.0, 2.5, 4.0], [2.0, 3.0, 0.5, 1.5])
     expected = 2.0 * 1.0 + 3.0 * 1.5 + 0.5 * 1.5 + 1.5 * (TWO_PI - 4.0)
     assert w.integrate(0, TWO_PI) == pytest.approx(expected, rel=1e-15)
+
+
+def test_probe_runs_once_without_declared_bounds():
+    # construction probes positivity; ess_bounds() reuses that probe
+    calls = []
+
+    def fn(theta):
+        calls.append(np.size(theta))
+        return 2.0 + np.sin(theta)
+
+    cm = PeriodicWeight.from_callable(fn).ess_bounds()
+    assert calls == [PROBE_POINTS]
+    assert cm.inf == pytest.approx(1.0, abs=1e-6)
+    assert cm.sup == pytest.approx(3.0, abs=1e-6)
+
+
+def test_sampled_product_golden_values():
+    # float.hex of the probed bounds and the midpoint-quadrature mean
+    w = product(sine_family(4.0), sine_family(3.0))
+    cm = w.ess_bounds()
+    assert (cm.inf.hex(), cm.sup.hex(), float(w.mean()).hex()) == (
+        "0x1.0000000000000p+0", "0x1.8000000000000p+3",
+        "0x1.6fffffffffff7p+2")
