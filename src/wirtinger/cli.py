@@ -159,6 +159,8 @@ def _cmd_bound(args):
                                                 args.p, args.q)
         return {"bound": sharpness.bound_power(pair), "formula": "power",
                 "M": pair.M, "p": pair.p, "q": pair.q}
+    if args.a is None or args.b is None:
+        raise ValueError("bound needs either --gamma/--p/--q or --a and --b")
     a = parse_weight(args.a)
     b = parse_weight(args.b)
     return {"bound": sharpness.bound_general(a, b), "formula": "general"}
@@ -378,9 +380,6 @@ def run(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bound" and args.gamma is None and (
-            args.a is None or args.b is None):
-        parser.error("bound needs either --gamma/--p/--q or --a and --b")
     try:
         report = run(args)
     except ValueError as exc:  # WeightParseError or an out-of-domain number

@@ -213,13 +213,6 @@ def closed_form_pq0(a, amplitude=1.0, phase=0.0):
     return constant, profile
 
 
-def _attained(a, b, bound, n):
-    """C(a, b) converged on n/4, n/2, n; its gap to `bound`; gap <= tol."""
-    result = spectral.converge(a, b, [n // 4, n // 2, n])
-    gap = (bound - result.constant) / bound
-    return result, gap, abs(gap) <= SHARPNESS_TOL
-
-
 def verify_sharpness(pair, n=2048):
     """Compare the spectral constant of (gamma^p, gamma^q) to the bound.
 
@@ -230,29 +223,28 @@ def verify_sharpness(pair, n=2048):
     if pair.p + pair.q < 0:
         raise ValueError("verification requires p + q >= 0")
     bound = bound_power(pair)
-    result, gap, attained = _attained(pair.a, pair.b, bound, n)
+    result = spectral.converge(pair.a, pair.b, [n // 4, n // 2, n])
+    gap = (bound - result.constant) / bound
     return BoundReport(bound=bound, computed=result.constant,
-                       relative_gap=gap, sharp=attained,
+                       relative_gap=gap, sharp=abs(gap) <= SHARPNESS_TOL,
                        n=result.n, estimated_order=result.estimated_order)
 
 
-def sharpness_characterization(a, b, n=2048, cross_check=True):
+def sharpness_characterization(a, b, cross_check=None):
     """Decide sharpness via the functional equation on sqrt(ab).
 
     Transports the geometric mean through the change of variables and
     measures the phase-minimized sup-distance to the square-wave
     extremal pattern; sharp iff the residual is at most 1e-6.  When
-    `cross_check` is set, the verdict is validated against the spectral
-    gap to the general bound.
+    `cross_check` is the `verify_sharpness` report of the same pair, the
+    verdict must match its `sharp`; a false value skips the check.
     """
     cov = transform.build_cov(a, b)
     g = transform.transported_geometric_mean(cov)
     residual, phase = transform.functional_eq_residual(g)
     is_sharp = residual <= 1e-6
-    if cross_check:
-        _, gap, attained = _attained(a, b, bound_general(a, b), n)
-        if attained != is_sharp:
-            raise RuntimeError(
-                "functional-equation verdict disagrees with spectral gap "
-                f"(residual {residual:.3g}, gap {gap:.3g})")
+    if cross_check and cross_check.sharp != is_sharp:
+        raise RuntimeError(
+            "functional-equation verdict disagrees with spectral gap "
+            f"(residual {residual:.3g}, gap {cross_check.relative_gap:.3g})")
     return is_sharp, phase, residual

@@ -126,8 +126,8 @@ def best_constant(a, b, n=2048):
     ones_mass = mass @ e
     ones_mass_norm = float(e @ ones_mass)
 
-    # scale estimate from a deflated cosine test vector, used both to
-    # place the shift and to tell lambda_1 apart from the constant mode
+    # scale estimate from a deflated cosine test vector, used to place
+    # the shift
     v = np.cos(mesh.nodes)
     v = _deflate(v, ones_mass, ones_mass_norm)
     lam_est = float(v @ (stiff @ v)) / float(v @ (mass @ v))
@@ -144,11 +144,13 @@ def best_constant(a, b, n=2048):
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
 
-    positive = vals > 1e-6 * lam_est
-    if not np.any(positive):
-        raise SolverError("no positive eigenvalue found (assembly bug?)")
-    i1 = int(np.argmax(positive))
+    # the constant mode has the largest a-weighted mean; lambda_1 is the
+    # lowest of the others (the first eigenvalue unless that one is it)
+    means = np.abs(ones_mass @ vecs) / (ones_mass @ np.abs(vecs))
+    i1 = int(np.argmax(means) == 0)
     lam1 = float(vals[i1])
+    if lam1 <= 0:
+        raise SolverError("lambda_1 is nonpositive (assembly bug?)")
 
     u = _deflate(vecs[:, i1], ones_mass, ones_mass_norm)
     target = TWO_PI * a.mean()

@@ -110,7 +110,7 @@ def build_cov(a, b):
     fwd_map = None
     if density.kind == "piecewise_constant":
         bp = density.breakpoints
-        vals = density._cum[:-1] / c
+        vals = density.antiderivative(bp) / c
         fwd_map = PiecewiseLinearMap(bp, vals, density.values / c)
     return ChangeOfVariables(a=a, b=b, c=c, density=density,
                              forward_map=fwd_map)

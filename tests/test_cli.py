@@ -102,6 +102,8 @@ def test_parse_error_exit_code(capsys):
     ["extremal", "--family", "pq", "--M", "1"],
     ["bound", "--gamma", "bar-gamma:4,1,0", "--p", "1"],
     ["bound", "--gamma", "bar-gamma:4,1,0", "--q", "0"],
+    ["bound", "--a", "bar-a:4"],
+    ["bound"],
 ])
 def test_out_of_domain_argument_exit_code(argv, capsys):
     assert main(argv) == 2

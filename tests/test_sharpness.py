@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -287,19 +288,53 @@ def test_verify_sharpness_phase_equivariance():
 
 
 def test_sharpness_characterization_equal_bar_a():
-    is_sharp, phase, resid = sharpness_characterization(ABAR, ABAR, n=512)
+    report = verify_sharpness(PowerWeightPair.create(ABAR, 1.0, 1.0), n=512)
+    is_sharp, phase, resid = sharpness_characterization(ABAR, ABAR,
+                                                        cross_check=report)
     assert is_sharp and resid <= 1e-12
     assert phase == pytest.approx(0.0, abs=1e-9)
 
 
 def test_sharpness_characterization_gamma_bar():
     gam = extremal_weight_pq(4.0, 1.0, 0.0).weight
-    is_sharp, _, resid = sharpness_characterization(gam, ONE, n=512)
+    report = verify_sharpness(PowerWeightPair.create(gam, 1.0, 0.0), n=512)
+    is_sharp, _, resid = sharpness_characterization(gam, ONE,
+                                                    cross_check=report)
     assert is_sharp and resid <= 1e-12
 
 
 def test_sharpness_characterization_sine_not_sharp():
     a = sine_family(4.0)
     is_sharp, _, resid = sharpness_characterization(
-        a.power(2.0), ONE, n=512, cross_check=False)
+        a.power(2.0), ONE, cross_check=False)
     assert not is_sharp and resid > 0.01
+
+
+def test_sharpness_characterization_reuses_the_report(monkeypatch):
+    from wirtinger import spectral
+
+    pair = PowerWeightPair.create(extremal_weight_pq(4.0, 1.0, 0.0).weight,
+                                  1.0, 0.0)
+    report = verify_sharpness(pair, n=256)
+    calls = []
+    converge = spectral.converge
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return converge(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "converge", spy)
+    is_sharp, _, _ = sharpness_characterization(pair.a, pair.b,
+                                                cross_check=report)
+    assert is_sharp == report.sharp
+    assert calls == []
+
+
+def test_sharpness_characterization_rejects_a_disagreeing_report():
+    pair = PowerWeightPair.create(sine_family(4.0), 1.0, 0.0)
+    report = verify_sharpness(pair, n=256)
+    assert not report.sharp
+    with pytest.raises(RuntimeError, match="disagrees"):
+        sharpness_characterization(
+            pair.a, pair.b,
+            cross_check=dataclasses.replace(report, sharp=True))

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
                        build_cov, build_mesh, converge, rayleigh_quotient,
@@ -114,6 +116,15 @@ def test_best_constant_many_breakpoint_reciprocal_pair():
     bp = np.sort(rng.uniform(0.0, TWO_PI, 5000))
     a = PeriodicWeight.piecewise(bp, rng.uniform(1.0, 4.0, 5000))
     res = best_constant(a, a.power(-1.0), 8192)
+    assert res.constant == pytest.approx(a.mean() ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [8192, 16384])
+def test_best_constant_tiny_piece_reciprocal_pair(n):
+    # the 1e-12 piece makes the constant mode's computed eigenvalue
+    # positive; it must still not be taken for lambda_1
+    a = PeriodicWeight.piecewise([0, 1.3, 1.3 + 1e-12, 5.9], [1, 3, 2, 4])
+    res = best_constant(a, a.power(-1.0), n)
     assert res.constant == pytest.approx(a.mean() ** 2, rel=1e-6)
 
 
@@ -266,3 +277,59 @@ def test_upper_bound_property(a, b):
 
 def test_solver_error_type():
     assert issubclass(SolverError, RuntimeError)
+
+
+@st.composite
+def pwc_weights(draw):
+    """A piecewise-constant weight whose pieces are at least 1e-3 wide."""
+    k = draw(st.integers(1, 6))
+    shares = np.array(draw(st.lists(st.floats(1.0, 100.0),
+                                    min_size=k, max_size=k)))
+    edges = np.concatenate(([0.0], np.cumsum(shares)))
+    bp = TWO_PI * edges[:-1] / edges[-1]
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    return PeriodicWeight.piecewise(bp, values)
+
+
+def rotated(w, shift):
+    """theta -> w(theta - shift); a breakpoint that rounds onto 2pi is 0."""
+    bp = np.mod(w.breakpoints + shift, TWO_PI)
+    bp[np.minimum(bp, TWO_PI - bp) < 1e-12] = 0.0
+    order = np.argsort(bp)
+    return PeriodicWeight.piecewise(bp[order], w.values[order])
+
+
+def reflected(w):
+    """theta -> w(2pi - theta)."""
+    edges = np.concatenate((w.breakpoints, [TWO_PI]))
+    return PeriodicWeight.piecewise((TWO_PI - edges[1:])[::-1],
+                                    w.values[::-1])
+
+
+mesh_sizes = st.sampled_from([16, 64, 128, 256, 512])
+
+
+@given(pwc_weights(), pwc_weights(), mesh_sizes, st.integers(1, 511))
+@settings(max_examples=25, deadline=None)
+def test_rotation_invariance_property(a, b, n, k):
+    # a rotation by whole mesh steps maps the uniform mesh onto itself
+    shift = (1 + k % (n - 1)) * TWO_PI / n
+    base = best_constant(a, b, n).constant
+    turned = best_constant(rotated(a, shift), rotated(b, shift), n).constant
+    assert turned == pytest.approx(base, rel=1e-9)
+
+
+@given(pwc_weights(), pwc_weights(), mesh_sizes)
+@settings(max_examples=25, deadline=None)
+def test_reflection_invariance_property(a, b, n):
+    base = best_constant(a, b, n).constant
+    mirrored = best_constant(reflected(a), reflected(b), n).constant
+    assert mirrored == pytest.approx(base, rel=1e-9)
+
+
+@given(pwc_weights(), pwc_weights(), mesh_sizes)
+@settings(max_examples=25, deadline=None)
+def test_bound_exceeds_discrete_constant_property(a, b, n):
+    # P1 elements with exact quadrature are a Rayleigh-Ritz method, so
+    # the discrete constant never exceeds C(a, b) <= bound_general(a, b)
+    assert best_constant(a, b, n).constant <= bound_general(a, b) * (1 + 1e-9)
