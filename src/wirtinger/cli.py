@@ -181,6 +181,9 @@ def _cmd_solve(args):
 
 
 def _cmd_extremal(args):
+    if args.samples < 1:
+        raise ValueError(
+            f"extremal --samples must be >= 1, got {args.samples}")
     if args.family == "ps":
         profile = sharpness.extremal_fn_ps(args.L)
     else:
@@ -249,6 +252,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_transform_check(args):
+    if args.count < 0:
+        raise ValueError(
+            f"transform-check --count must be >= 0, got {args.count}")
     a = parse_weight(args.a)
     b = parse_weight(args.b)
     cov = transform.build_cov(a, b)
@@ -292,7 +298,12 @@ def _int_list(text):
 
 
 def build_parser():
-    default_n = int(os.environ.get("WIRTINGER_DEFAULT_N", "2048"))
+    env_n = os.environ.get("WIRTINGER_DEFAULT_N", "2048")
+    try:
+        default_n = int(env_n)
+    except ValueError:
+        raise ValueError("WIRTINGER_DEFAULT_N must be an integer, "
+                         f"got {env_n!r}") from None
     parser = argparse.ArgumentParser(
         prog="wirtinger",
         description="Best constants in weighted Wirtinger inequalities: "
@@ -378,9 +389,8 @@ def run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = run(args)
     except ValueError as exc:  # WeightParseError or an out-of-domain number
         print(f"invalid argument: {exc}", file=sys.stderr)

@@ -235,44 +235,65 @@ def _quarter(t):
 def _phase_scan(gv, probes, phases, L):
     """max_i |gv_i - _bar_a_pattern(probes_i + phi, L)| for every phi in phases.
 
-    For phi in [0, 2pi) the times fl(probes_i + phi) lie in [0, 4pi) and
-    never decrease with i, and np.mod is exact there, so the quarter index
-    never decreases either. A bisection on the actual floats finds its 7
-    run boundaries per phase; the residual is the max of |gv - 1| or
-    |gv - L| over each run, by the parity of the run.
+    For phi in [0, 2pi) and sorted probes the times fl(probes_i + phi) lie
+    in [0, 4pi) and never decrease with i, and np.mod is exact there, so
+    the quarter index never decreases either: each phase splits the probes
+    into 8 runs of one quarter. The run of level l starts near
+    ceil((l pi/2 - phi)/h - 1/2) on the midpoint grid (i + 1/2)h, h = 2pi/n;
+    from there each start moves one probe per pass, checked against
+    `_quarter` on the actual floats, until no start moves (two passes on
+    the midpoint grid, more on other sorted grids). The residual is the max
+    of |gv - 1| or |gv - L| over each run, by the parity of the run, read
+    from a sparse table of maxima over power-of-two windows; max is exact,
+    so the result is the same float as the direct scan.
     """
     n = probes.size
     levels = np.arange(1, 8)
-    lo = np.zeros((phases.size, 7), dtype=np.intp)
-    hi = np.full((phases.size, 7), n, dtype=np.intp)
-    for _ in range(n.bit_length()):
-        mid = (lo + hi) // 2
-        active = lo < hi
-        up = _quarter(probes[np.minimum(mid, n - 1)] + phases[:, None]) >= levels
-        hi = np.where(active & up, mid, hi)
-        lo = np.where(active & ~up, mid + 1, lo)
-    # run j of a phase is [edges[j], edges[j + 1]); a trailing column n
-    # closes the last run and indexes the zero pad
-    edges = np.hstack((np.zeros((phases.size, 1), dtype=np.intp), lo,
-                       np.full((phases.size, 1), n, dtype=np.intp)))
-    dev = np.zeros((2, n + 1))
-    dev[0, :n] = np.abs(gv - 1.0)
-    dev[1, :n] = np.abs(gv - L)
-    run_max = np.maximum.reduceat(dev, edges.ravel(), axis=1)
-    run_max = run_max.reshape(2, phases.size, 9)[:, :, :8]
-    run_max = np.where(np.arange(8) % 2 == 0, run_max[0], run_max[1])
-    # reduceat gives an empty run its first element; 0 is neutral instead,
+    t = phases[:, None]
+    est = np.ceil((levels * (math.pi / 2) - t) / (TWO_PI / n) - 0.5)
+    starts = np.clip(est, 0, n).astype(np.intp)
+    while True:
+        down = (starts > 0) & (
+            _quarter(probes[np.maximum(starts - 1, 0)] + t) >= levels)
+        up = (starts < n) & (
+            _quarter(probes[np.minimum(starts, n - 1)] + t) < levels)
+        if not (down.any() or up.any()):
+            break
+        starts = starts - down + up
+
+    # table[k, j, i] = max of row j of the deviations over [i, i + 2^k);
+    # column n keeps the start n of an empty last run in range
+    depth = n.bit_length()
+    table = np.zeros((depth, 2, n + 1))
+    table[0, 0, :n] = np.abs(gv - 1.0)
+    table[0, 1, :n] = np.abs(gv - L)
+    for k in range(1, depth):
+        half, width = 1 << (k - 1), n - (1 << k) + 1
+        np.maximum(table[k - 1, :, :width], table[k - 1, :, half:half + width],
+                   out=table[k, :, :width])
+    # run j of a phase is [lo_j, hi_j); two windows of width 2^k with
+    # k = floor(log2(hi_j - lo_j)) cover it
+    edges = np.hstack((np.zeros_like(starts[:, :1]), starts,
+                       np.full_like(starts[:, :1], n)))
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    size = hi - lo
+    k = np.maximum(np.frexp(size)[1] - 1, 0)
+    parity = np.arange(8) % 2
+    run_max = np.maximum(table[k, parity, lo],
+                         table[k, parity, hi - (1 << k)])
+    # an empty run reads arbitrary in-range entries; 0 is neutral instead,
     # as every deviation is >= 0
-    return np.max(np.where(np.diff(edges) > 0, run_max, 0.0), axis=1)
+    return np.max(np.where(size > 0, run_max, 0.0), axis=1)
 
 
 def functional_eq_residual(g):
     """Phase-minimized sup-residual of the sharpness functional equation.
 
     Normalizes g to infimum 1 and compares it against the square-wave
-    extremal pattern with the matching oscillation L, minimizing the
-    sup-norm mismatch over a phase grid with golden-section refinement.
-    Returns (residual, best_phase).
+    extremal pattern with the matching oscillation L. `_phase_scan` gives
+    the sup-norm mismatch at every phase of a grid; the best grid phase
+    is then refined by golden-section search, unless its mismatch is
+    exactly 0, which no phase can beat. Returns (residual, best_phase).
     """
     bounds = g.ess_bounds()
     L = bounds.sup / bounds.inf
@@ -286,6 +307,8 @@ def functional_eq_residual(g):
     grid_res = _phase_scan(gv, probes, phases, L)
     k = int(np.argmin(grid_res))
     best_phi, best_res = float(phases[k]), float(grid_res[k])
+    if best_res == 0.0:
+        return best_res, best_phi
 
     # golden-section refinement; only pays off for continuous mismatch
     gr = (math.sqrt(5.0) - 1.0) / 2.0

@@ -104,6 +104,9 @@ def test_parse_error_exit_code(capsys):
     ["bound", "--gamma", "bar-gamma:4,1,0", "--q", "0"],
     ["bound", "--a", "bar-a:4"],
     ["bound"],
+    ["extremal", "--family", "pq", "--samples", "0"],
+    ["extremal", "--family", "ps", "--samples", "-5"],
+    ["transform-check", "--a", "const:1", "--b", "const:1", "--count", "-3"],
 ])
 def test_out_of_domain_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -173,6 +176,15 @@ def test_default_n_from_environment(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["solve", "--a", "const:1", "--b", "const:1"])
     assert args.n == 333
+
+
+def test_default_n_not_an_integer_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("WIRTINGER_DEFAULT_N", "abc")
+    assert main(["bound", "--a", "const:1", "--b", "const:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid argument: WIRTINGER_DEFAULT_N must be an integer, got 'abc'"]
 
 
 # sha256 of every file each command writes; the extremal reports embed

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, build_cov, c_pq, functional_eq_residual,
                        h_pq, h_pq_inv, sine_family, substitution_check,
-                       transported_geometric_mean)
+                       transform, transported_geometric_mean)
 from wirtinger.sharpness import (extremal_fn_ps, extremal_weight_pq,
                                  extremal_weight_ps)
-from wirtinger.transform import _bar_a_pattern, _phase_scan
+from wirtinger.transform import _bar_a_pattern, _phase_scan, _quarter
 
 TWO_PI = 2 * math.pi
 
@@ -211,6 +211,74 @@ def test_phase_scan_matches_dense_on_verify_pairs(a, b):
 def test_phase_scan_matches_dense_property(seed, L, n_probes, n_phases):
     gv = np.random.default_rng(seed).uniform(1.0, L, n_probes)
     _assert_scan_matches_dense(gv, L, n_probes, n_phases)
+
+
+@pytest.mark.parametrize("n_probes,n_phases,k", [
+    (2048, 4096, 3), (2048, 4096, 7), (16, 32, 11), (8, 16, 15)])
+def test_phase_scan_matches_dense_at_boundary_ties(n_probes, n_phases, k):
+    # at odd phase indices probes_i + phi is a multiple of pi/2 in exact
+    # arithmetic; the float sum rounds to either side of that boundary
+    probes, phases = _scan_grids(n_probes, n_phases)
+    assert np.isin(probes + phases[k], np.arange(1, 8) * (math.pi / 2)).any()
+    gv = _bar_a_pattern(probes + phases[k], 4.0)
+    scan = _phase_scan(gv, probes, phases, 4.0)
+    assert scan[k] == 0.0
+    assert np.array_equal(scan, _dense_phase_scan(gv, probes, phases, 4.0))
+
+
+@pytest.mark.parametrize("sizes", [(1, 8, 5, 16), (0, 1, 2, 3), (37, 0, 0, 0),
+                                   (0, 0, 0, 64)])
+def test_phase_scan_run_lengths(sizes):
+    # sizes[j] probes inside quarter j; the phases move whole clusters
+    # between quarters, giving runs of length 0, 1, 2^k, 3, 5 and n
+    probes = np.concatenate([(2 * j + 1) * math.pi / 4
+                             + np.linspace(-0.5, 0.5, s)
+                             for j, s in enumerate(sizes)])
+    phases = np.arange(4) * (math.pi / 2) + 0.1
+    for j, phi in enumerate(phases):
+        runs = np.bincount(_quarter(probes + phi), minlength=8)
+        assert np.array_equal(runs, np.roll(np.r_[sizes, 0, 0, 0, 0], j))
+    gv = _bar_a_pattern(probes + phases[1], 3.0)
+    scan = _phase_scan(gv, probes, phases, 3.0)
+    assert scan[1] == 0.0
+    assert np.array_equal(scan, _dense_phase_scan(gv, probes, phases, 3.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phase_scan_matches_dense_on_unequal_grids(seed):
+    # the midpoint-grid estimate is many probes off on these sorted grids,
+    # so every run start is walked to its quarter by the fix-up alone
+    rng = np.random.default_rng(seed)
+    n = 300
+    for probes in (np.sort(rng.uniform(0.0, TWO_PI, n)),
+                   TWO_PI * np.linspace(0.0, 1.0, n, endpoint=False) ** 3):
+        phases = np.sort(rng.uniform(0.0, TWO_PI, 64))
+        gv = (_bar_a_pattern(probes + phases[7], 5.0)
+              * rng.uniform(1.0, 1.01, n))
+        scan = _phase_scan(gv, probes, phases, 5.0)
+        assert scan[7] < 0.06
+        assert np.array_equal(scan, _dense_phase_scan(gv, probes, phases, 5.0))
+
+
+@pytest.mark.parametrize("a,refined", [
+    (extremal_weight_pq(4.0, 1.0, 0.0).weight, False),
+    (sine_family(4.0), True),
+], ids=["bar-gamma", "sine"])
+def test_functional_eq_residual_refines_only_above_zero(monkeypatch, a,
+                                                         refined):
+    # the golden-section refinement is the only caller of _bar_a_pattern;
+    # a grid residual of exactly 0 cannot be beaten, so it is skipped
+    calls = []
+
+    def spy(tau, L):
+        calls.append(L)
+        return _bar_a_pattern(tau, L)
+
+    monkeypatch.setattr(transform, "_bar_a_pattern", spy)
+    g = transported_geometric_mean(build_cov(a, PeriodicWeight.constant(1.0)))
+    res, _ = functional_eq_residual(g)
+    assert (res > 0.0) == refined
+    assert bool(calls) == refined
 
 
 def _rotated_square_wave():
