@@ -148,6 +148,14 @@ def _flt(x):
     return None if x is None else float(x)
 
 
+def _require_numbers(args, *names):
+    """Reject a list option that was given but holds no numbers."""
+    for name in names:
+        if getattr(args, name) == []:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} needs at least one number")
+
+
 # -- command handlers --------------------------------------------------------
 
 
@@ -167,6 +175,7 @@ def _cmd_bound(args):
 
 
 def _cmd_solve(args):
+    _require_numbers(args, "n_list")
     a = parse_weight(args.a)
     b = parse_weight(args.b)
     if args.n_list:
@@ -231,6 +240,7 @@ def _sweep_row(row, gamma, p, q, n):
 
 
 def _cmd_sweep(args):
+    _require_numbers(args, "L_list", "M_list", "p_list", "q_list")
     # an out-of-domain L is an argument error (exit 2), not a row
     rows = [_sweep_row({"L": L}, sharpness.extremal_weight_ps(L), 1.0, 1.0,
                        args.n)

@@ -14,12 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import (TWO_PI, PeriodicWeight, match_scalar, product,
-                      split_panels, sqrt_ratio)
+from .weights import (PROBE_GRID, TWO_PI, PeriodicWeight, match_scalar,
+                      product, split_panels, sqrt_ratio)
 
-#: probe points and grid phases of the functional-equation residual
-N_PROBES = 2048
+#: probe points and grid phases of the functional-equation residual; the
+#: probes are the odd half of PROBE_GRID, the midpoints (i + 1/2) 2pi/N_PROBES
+N_PROBES = PROBE_GRID.size // 2
 N_PHASES = 4096
+
+#: phases scanned before the rest, which is skipped on an exact zero
+HEAD_PHASES = N_PHASES // 16
 
 
 class PiecewiseLinearMap:
@@ -290,21 +294,32 @@ def functional_eq_residual(g):
     """Phase-minimized sup-residual of the sharpness functional equation.
 
     Normalizes g to infimum 1 and compares it against the square-wave
-    extremal pattern with the matching oscillation L. `_phase_scan` gives
-    the sup-norm mismatch at every phase of a grid; the best grid phase
-    is then refined by golden-section search, unless its mismatch is
-    exactly 0, which no phase can beat. Returns (residual, best_phase).
+    extremal pattern with the matching oscillation L at the N_PROBES odd
+    points of the weights' PROBE_GRID. A sampled g is read from the
+    `probe_samples` its constructor kept there, not evaluated again.
+    `_phase_scan` gives the sup-norm mismatch at the N_PHASES phases of
+    a grid: the first HEAD_PHASES, and the rest only when none of those
+    has a mismatch of exactly 0, which no phase can beat (the first
+    phase that attains it is the one a full scan picks). The best grid
+    phase is then refined by golden-section search, unless its mismatch
+    is exactly 0. Returns (residual, best_phase).
     """
     bounds = g.ess_bounds()
     L = bounds.sup / bounds.inf
-    probes = (np.arange(N_PROBES) + 0.5) * (TWO_PI / N_PROBES)
-    gv = np.asarray(g.eval(probes)) / bounds.inf
+    probes = PROBE_GRID[1::2]
+    if g.probe_samples is not None:
+        gv = g.probe_samples[1::2] / bounds.inf
+    else:
+        gv = np.asarray(g.eval(probes)) / bounds.inf
 
     def residual(phi):
         return float(np.max(np.abs(gv - _bar_a_pattern(probes + phi, L))))
 
     phases = np.arange(N_PHASES) * (TWO_PI / N_PHASES)
-    grid_res = _phase_scan(gv, probes, phases, L)
+    grid_res = _phase_scan(gv, probes, phases[:HEAD_PHASES], L)
+    if grid_res.min() > 0.0:
+        grid_res = np.concatenate(
+            (grid_res, _phase_scan(gv, probes, phases[HEAD_PHASES:], L)))
     k = int(np.argmin(grid_res))
     best_phi, best_res = float(phases[k]), float(grid_res[k])
     if best_res == 0.0:

@@ -2,7 +2,7 @@
 
 A weight is either piecewise constant (exact integration, exact bounds)
 or a sampled closed form (vectorized evaluator, composite midpoint
-quadrature).  All weights are strictly positive and immutable.
+quadrature).  All weights are finite, strictly positive and immutable.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ POSITIVITY_FLOOR = 1e-12
 
 #: probe-grid size used when essential bounds must be estimated
 PROBE_POINTS = 4096
+
+#: angles at which a sampled weight is probed at construction
+PROBE_GRID = np.linspace(0.0, TWO_PI, PROBE_POINTS, endpoint=False)
+PROBE_GRID.setflags(write=False)
 
 #: midpoint panels per period for closed-form quadrature
 PANELS = 2048
@@ -48,10 +52,17 @@ class PeriodicWeight:
     Immutable after construction.  Evaluation is vectorized and total:
     any real angle is reduced modulo 2pi.  Piecewise-constant weights use
     the left-closed / right-open interval convention.
+
+    Breakpoints, values and declared bounds must be finite, and values
+    at least POSITIVITY_FLOOR.  A sampled closed form is evaluated once
+    on PROBE_GRID at construction; those samples must be finite and at
+    least POSITIVITY_FLOOR, and stay readable as the read-only
+    `probe_samples` (None for a piecewise-constant weight).
     """
 
     __slots__ = ("kind", "breakpoints", "values", "evaluator",
-                 "declared_bounds", "_cum", "_grid_cum", "_range")
+                 "declared_bounds", "probe_samples", "_cum", "_grid_cum",
+                 "_range")
 
     def __init__(self, kind, breakpoints=None, values=None, evaluator=None,
                  declared_bounds=None):
@@ -61,8 +72,9 @@ class PeriodicWeight:
         self.declared_bounds = None
         if declared_bounds is not None:
             lo, hi = float(declared_bounds[0]), float(declared_bounds[1])
-            if not (0.0 < lo <= hi):
-                raise ValueError("declared_bounds must satisfy 0 < inf <= sup")
+            if not (0.0 < lo <= hi < math.inf):
+                raise ValueError(
+                    "declared_bounds must be finite with 0 < inf <= sup")
             self.declared_bounds = (lo, hi)
         self._grid_cum = None
 
@@ -71,6 +83,8 @@ class PeriodicWeight:
             vals = np.atleast_1d(np.asarray(values, dtype=float))
             if bp.size == 0 or vals.size != bp.size:
                 raise ValueError("need one value per breakpoint interval")
+            if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+                raise ValueError("breakpoints and values must be finite")
             if np.any(bp < 0.0) or np.any(bp >= TWO_PI):
                 raise ValueError("breakpoints must lie in [0, 2pi)")
             if np.any(np.diff(bp) <= 0.0):
@@ -86,6 +100,7 @@ class PeriodicWeight:
             self.breakpoints = bp
             self.values = vals
             self.evaluator = None
+            self.probe_samples = None
             edges = np.concatenate((bp, [TWO_PI]))
             self._cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(edges))))
         else:
@@ -95,10 +110,13 @@ class PeriodicWeight:
             self.values = None
             self.evaluator = evaluator
             self._cum = None
-            samples = self.eval(np.linspace(0.0, TWO_PI, PROBE_POINTS,
-                                            endpoint=False))
+            # a read-only view, also for an evaluator that returns a scalar
+            samples = np.broadcast_to(self.eval(PROBE_GRID), PROBE_GRID.shape)
+            if not np.all(np.isfinite(samples)):
+                raise ValueError("weight is not finite")
             if np.min(samples) < POSITIVITY_FLOOR:
                 raise ValueError("weight is not bounded away from zero")
+            self.probe_samples = samples
         # exact range of a piecewise-constant weight; a closed form's probe
         self._range = (float(np.min(samples)), float(np.max(samples)))
 

@@ -107,12 +107,36 @@ def test_parse_error_exit_code(capsys):
     ["extremal", "--family", "pq", "--samples", "0"],
     ["extremal", "--family", "ps", "--samples", "-5"],
     ["transform-check", "--a", "const:1", "--b", "const:1", "--count", "-3"],
+    ["bound", "--a", "const:nan", "--b", "const:1"],
+    ["bound", "--a", "const:inf", "--b", "const:1"],
+    ["bound", "--a", "sine:inf", "--b", "const:1"],
+    ["bound", "--a", "bar-a:inf", "--b", "const:1"],
+    ["extremal", "--family", "ps", "--L", "nan"],
+    ["extremal", "--family", "pq", "--M", "nan"],
+    ["solve", "--a", "const:1", "--b", "const:1", "--n-list", ","],
+    ["sweep", "--M-list", ",", "--p-list", "1", "--q-list", "0"],
+    ["sweep", "--M-list", "4", "--p-list", ",", "--q-list", "0"],
+    ["sweep", "--M-list", "4", "--p-list", "1", "--q-list", ","],
+    ["sweep", "--L-list", ","],
 ])
 def test_out_of_domain_argument_exit_code(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--family", "ps", "--L", "nan"],
+    ["extremal", "--family", "pq", "--M", "nan"],
+    ["extremal", "--family", "pq", "--M", "4", "--p", "nan"],
+])
+def test_non_finite_extremal_writes_no_file(argv, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("invalid argument:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solver_error_exit_code(monkeypatch, capsys):

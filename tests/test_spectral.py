@@ -333,3 +333,14 @@ def test_bound_exceeds_discrete_constant_property(a, b, n):
     # P1 elements with exact quadrature are a Rayleigh-Ritz method, so
     # the discrete constant never exceeds C(a, b) <= bound_general(a, b)
     assert best_constant(a, b, n).constant <= bound_general(a, b) * (1 + 1e-9)
+
+
+@given(pwc_weights(), pwc_weights(), mesh_sizes, st.floats(0.1, 10.0))
+@settings(max_examples=25, deadline=None)
+def test_scaling_property(a, b, n, s):
+    # C(s a, b) = s C(a, b) and C(a, s b) = C(a, b) / s
+    base = best_constant(a, b, n).constant
+    assert best_constant(a.scale(s), b, n).constant == pytest.approx(
+        s * base, rel=1e-9)
+    assert best_constant(a, b.scale(s), n).constant == pytest.approx(
+        base / s, rel=1e-9)

@@ -317,3 +317,155 @@ def test_substitution_vanishing_first_moment_stays_finite():
     one = PeriodicWeight.constant(1.0)
     res = substitution_check(build_cov(one, one), np.sin, np.cos)
     assert all(np.isfinite(res)) and res[1] <= 1e-8
+
+
+def _dense_functional_eq_residual(g):
+    """functional_eq_residual with g.eval, all phases and refinement.
+
+    The reference the probe reuse and the head-block stop must match bit
+    for bit: midpoint probes (i + 1/2) 2pi/2048 evaluated through g.eval,
+    a scan over every phase (by `_phase_scan`, which the tests above hold
+    equal to `_dense_phase_scan`), the first minimum, and golden-section
+    refinement above zero.
+    """
+    bounds = g.ess_bounds()
+    L = bounds.sup / bounds.inf
+    probes = (np.arange(2048) + 0.5) * (TWO_PI / 2048)
+    gv = np.asarray(g.eval(probes)) / bounds.inf
+
+    def residual(phi):
+        return float(np.max(np.abs(gv - _bar_a_pattern(probes + phi, L))))
+
+    phases = np.arange(4096) * (TWO_PI / 4096)
+    grid_res = _phase_scan(gv, probes, phases, L)
+    k = int(np.argmin(grid_res))
+    best_phi, best_res = float(phases[k]), float(grid_res[k])
+    if best_res == 0.0:
+        return best_res, best_phi
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = best_phi - TWO_PI / 4096, best_phi + TWO_PI / 4096
+    x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
+    f1, f2 = residual(x1), residual(x2)
+    for _ in range(60):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - gr * (hi - lo)
+            f1 = residual(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + gr * (hi - lo)
+            f2 = residual(x2)
+    for x, f in ((x1, f1), (x2, f2)):
+        if f < best_res:
+            best_res, best_phi = f, x
+    return best_res, float(np.mod(best_phi, TWO_PI))
+
+
+def _sine_g():
+    return transported_geometric_mean(
+        build_cov(sine_family(4.0), PeriodicWeight.constant(1.0)))
+
+
+def _bits(res_phase):
+    return tuple(float(x).hex() for x in res_phase)
+
+
+def test_residual_probes_are_the_odd_half_of_the_probe_grid(monkeypatch):
+    # the probes the residual scans are, bit for bit, the midpoints
+    # (i + 1/2) 2pi/N_PROBES, and a piecewise-constant g is evaluated there
+    midpoints = (np.arange(2048) + 0.5) * (TWO_PI / 2048)
+    assert transform.N_PROBES == 2048
+    assert np.array_equal(transform.PROBE_GRID[1::2].view(np.int64),
+                          midpoints.view(np.int64))
+    scanned, evaluated = [], []
+
+    def scan_spy(gv, probes, phases, L):
+        scanned.append(np.array(probes))
+        return _phase_scan(gv, probes, phases, L)
+
+    g = _rotated_square_wave()
+    real_eval = PeriodicWeight.eval
+
+    def eval_spy(self, theta):
+        if self is g:
+            evaluated.append(np.array(theta))
+        return real_eval(self, theta)
+
+    monkeypatch.setattr(transform, "_phase_scan", scan_spy)
+    monkeypatch.setattr(PeriodicWeight, "eval", eval_spy)
+    functional_eq_residual(g)
+    assert scanned and evaluated
+    for probes in scanned + evaluated:
+        assert np.array_equal(probes.view(np.int64), midpoints.view(np.int64))
+
+
+def test_residual_reads_probe_samples_of_a_sampled_g(monkeypatch):
+    # a sampled g is read from the samples its constructor's probe took,
+    # so its 60-step bisection inverse does not run again in the residual
+    g = _sine_g()
+    expected = _dense_functional_eq_residual(g)
+    calls = []
+    real_inverse = transform.ChangeOfVariables.inverse
+
+    def spy(self, tau):
+        calls.append(np.size(tau))
+        return real_inverse(self, tau)
+
+    monkeypatch.setattr(transform.ChangeOfVariables, "inverse", spy)
+    assert _bits(functional_eq_residual(g)) == _bits(expected)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make_g,scanned", [
+    (lambda: transported_geometric_mean(build_cov(
+        extremal_weight_pq(4.0, 1.0, 0.0).weight, PeriodicWeight.constant(1.0))),
+     256),
+    (_sine_g, 4096),
+    (_rotated_square_wave, 4096),
+    (lambda: PeriodicWeight.piecewise(0.3 + np.arange(4) * (math.pi / 2),
+                                      [1.0, 1.0 + 1e-7, 1.0, 1.0 + 1e-7]),
+     4096),
+], ids=["bar-gamma", "sine", "rotated-pwc", "rotated-near-flat"])
+def test_phase_scan_stops_after_a_zero_in_the_head_block(monkeypatch, make_g,
+                                                          scanned):
+    # bar-gamma's zero is at phase 0; sine has none, and the rotated
+    # waves' first zeros lie past the head block, whose minimum for the
+    # near-flat one is a positive 1e-7: all three scan every phase
+    g = make_g()
+    counts = []
+
+    def spy(gv, probes, phases, L):
+        counts.append(phases.size)
+        return _phase_scan(gv, probes, phases, L)
+
+    monkeypatch.setattr(transform, "_phase_scan", spy)
+    functional_eq_residual(g)
+    assert sum(counts) == scanned
+    assert counts[0] == transform.HEAD_PHASES == 256
+
+
+@st.composite
+def _residual_cases(draw):
+    """A random pwc g, a constant g and a rotated near-flat square wave."""
+    k = draw(st.integers(1, 8))
+    bp = np.sort(np.array(draw(st.lists(
+        st.floats(0.0, TWO_PI, exclude_max=True), min_size=k, max_size=k,
+        unique=True))))
+    pwc = PeriodicWeight.piecewise(bp, draw(st.lists(
+        st.floats(0.5, 5.0), min_size=k, max_size=k)))
+    const = PeriodicWeight.constant(draw(st.floats(0.1, 10.0)))
+    # zero residual at phase pi - shift, past the head block [0, pi/8)
+    shift = draw(st.floats(0.05, 1.5))
+    wave = PeriodicWeight.piecewise(shift + np.arange(4) * (math.pi / 2),
+                                    [1.0, 1.0 + 1e-7, 1.0, 1.0 + 1e-7])
+    return pwc, const, wave
+
+
+@given(_residual_cases())
+@settings(max_examples=25, deadline=None)
+def test_functional_eq_residual_matches_dense_property(case):
+    pwc, const, wave = case
+    for g in (pwc, const, wave):
+        assert (_bits(functional_eq_residual(g))
+                == _bits(_dense_functional_eq_residual(g)))
+    assert functional_eq_residual(wave)[1] >= math.pi / 8

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wirtinger import PeriodicWeight, product, sine_family
 from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
-from wirtinger.weights import PROBE_POINTS
+from wirtinger.weights import PROBE_GRID, PROBE_POINTS
 
 TWO_PI = 2 * math.pi
 
@@ -175,3 +175,39 @@ def test_sampled_product_golden_values():
     assert (cm.inf.hex(), cm.sup.hex(), float(w.mean()).hex()) == (
         "0x1.0000000000000p+0", "0x1.8000000000000p+3",
         "0x1.6fffffffffff7p+2")
+
+
+def test_probe_samples_are_kept_read_only():
+    # the constructor's positivity probe is kept for later readers
+    w = sine_family(4.0)
+    assert np.array_equal(w.probe_samples, w.eval(PROBE_GRID))
+    assert w.probe_samples.shape == (PROBE_POINTS,)
+    with pytest.raises(ValueError):
+        w.probe_samples[0] = 2.0
+    flat = PeriodicWeight.from_callable(lambda th: 3.0)
+    assert np.array_equal(flat.probe_samples, np.full(PROBE_POINTS, 3.0))
+    assert extremal_weight_ps(4.0).probe_samples is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PeriodicWeight.constant(math.nan),
+    lambda: PeriodicWeight.constant(math.inf),
+    lambda: PeriodicWeight.piecewise([0.0, math.nan], [1.0, 2.0]),
+    lambda: PeriodicWeight.piecewise([0.0, 1.0], [1.0, math.inf]),
+    lambda: PeriodicWeight.from_callable(lambda th: 2.0 + np.sin(th),
+                                         declared_bounds=(1.0, math.inf)),
+    lambda: PeriodicWeight.from_callable(lambda th: 2.0 + np.sin(th),
+                                         declared_bounds=(math.nan, 3.0)),
+    lambda: PeriodicWeight.from_callable(
+        lambda th: np.where(th < 1.0, math.nan, 1.0)),
+    lambda: PeriodicWeight.from_callable(
+        lambda th: np.where(th < 1.0, 1.0, math.inf)),
+    lambda: sine_family(math.inf),
+    lambda: extremal_weight_ps(math.nan),
+    lambda: extremal_weight_pq(math.nan, 1.0, 0.0),
+], ids=["const-nan", "const-inf", "pwc-nan-breakpoint", "pwc-inf-value",
+        "declared-inf", "declared-nan", "sampled-nan", "sampled-inf",
+        "sine-inf", "bar-a-nan", "bar-gamma-nan"])
+def test_non_finite_weight_is_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
