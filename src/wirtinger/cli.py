@@ -149,11 +149,14 @@ def _flt(x):
 
 
 def _require_numbers(args, *names):
-    """Reject a list option that was given but holds no numbers."""
+    """Reject a list option that was given empty or with a non-finite number."""
     for name in names:
-        if getattr(args, name) == []:
-            flag = "--" + name.replace("_", "-")
+        values = getattr(args, name)
+        flag = "--" + name.replace("_", "-")
+        if values == []:
             raise ValueError(f"{flag} needs at least one number")
+        if not all(map(math.isfinite, values or [])):
+            raise ValueError(f"{flag} must hold finite numbers, got {values}")
 
 
 # -- command handlers --------------------------------------------------------

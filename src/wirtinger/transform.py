@@ -1,8 +1,8 @@
 """Change of variables reducing two weights to one geometric-mean weight.
 
-The forward map is the normalized antiderivative of sqrt(a/b); it is
-piecewise linear (hence exactly invertible) when both weights are
-piecewise constant, and inverted by bisection otherwise.  The explicit
+The forward map is the normalized antiderivative of sqrt(a/b), one
+piecewise-linear map inverted exactly: exact for piecewise-constant
+weights, of the density's midpoint surrogate otherwise.  The explicit
 piecewise-linear homeomorphism for the extremal power-weight family and
 the functional-equation sharpness residual live here too.
 """
@@ -10,7 +10,7 @@ the functional-equation sharpness residual live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,43 +79,28 @@ class ChangeOfVariables:
     b: PeriodicWeight
     c: float
     density: PeriodicWeight            # sqrt(a/b)
-    forward_map: PiecewiseLinearMap | None = field(default=None)
+    forward_map: PiecewiseLinearMap    # tau(theta), see build_cov
 
     def forward(self, theta):
         """tau(theta): normalized antiderivative of sqrt(a/b)."""
-        if self.forward_map is not None:
-            return self.forward_map(theta)
-        out = self.density.antiderivative(np.asarray(theta, dtype=float)) / self.c
-        return match_scalar(theta, out)
+        return self.forward_map(theta)
 
     def inverse(self, tau):
-        """theta(tau): exact piecewise-linear inverse or bisection."""
-        if self.forward_map is not None:
-            return self.forward_map.inverse()(tau)
-        tv = np.asarray(tau, dtype=float)
-        n_per = np.floor(tv / TWO_PI)
-        rem = tv - TWO_PI * n_per
-        lo = np.zeros_like(rem)
-        hi = np.full_like(rem, TWO_PI)
-        # monotone bisection; 60 halvings put the iterate below 1e-12 in tau
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            too_low = self.density.antiderivative(mid) / self.c < rem
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        out = TWO_PI * n_per + 0.5 * (lo + hi)
-        return match_scalar(tau, out)
+        """theta(tau): the exact inverse of the forward map."""
+        return self.forward_map.inverse()(tau)
 
 
 def build_cov(a, b):
-    """Construct the change of variables for the weight pair (a, b)."""
+    """Construct the change of variables for the weight pair (a, b).
+
+    tau is the integral of the density's `cells()` divided by c, its mean:
+    exact for a piecewise-constant density, and for a sampled one the
+    integral of its PANELS-panel midpoint surrogate.
+    """
     density = sqrt_ratio(a, b)
     c = density.mean()
-    fwd_map = None
-    if density.kind == "piecewise_constant":
-        bp = density.breakpoints
-        vals = density.antiderivative(bp) / c
-        fwd_map = PiecewiseLinearMap(bp, vals, density.values / c)
+    edges, cum, vals = density.cells()
+    fwd_map = PiecewiseLinearMap(edges, cum[:-1] / c, vals / c)
     return ChangeOfVariables(a=a, b=b, c=c, density=density,
                              forward_map=fwd_map)
 
@@ -123,7 +108,7 @@ def build_cov(a, b):
 def transported_geometric_mean(cov):
     """The weight tau -> sqrt(a(theta(tau)) * b(theta(tau)))."""
     a, b = cov.a, cov.b
-    if cov.forward_map is not None:
+    if cov.density.kind == "piecewise_constant":
         g0 = product(a, b)
         tau_bp = cov.forward(g0.breakpoints)
         return PeriodicWeight.piecewise(tau_bp, np.sqrt(g0.values))

@@ -61,8 +61,7 @@ class PeriodicWeight:
     """
 
     __slots__ = ("kind", "breakpoints", "values", "evaluator",
-                 "declared_bounds", "probe_samples", "_cum", "_grid_cum",
-                 "_range")
+                 "declared_bounds", "probe_samples", "_cells", "_range")
 
     def __init__(self, kind, breakpoints=None, values=None, evaluator=None,
                  declared_bounds=None):
@@ -76,7 +75,6 @@ class PeriodicWeight:
                 raise ValueError(
                     "declared_bounds must be finite with 0 < inf <= sup")
             self.declared_bounds = (lo, hi)
-        self._grid_cum = None
 
         if kind == "piecewise_constant":
             bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
@@ -102,14 +100,15 @@ class PeriodicWeight:
             self.evaluator = None
             self.probe_samples = None
             edges = np.concatenate((bp, [TWO_PI]))
-            self._cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(edges))))
+            self._cells = (bp, np.concatenate(
+                ([0.0], np.cumsum(vals * np.diff(edges)))), vals)
         else:
             if evaluator is None:
                 raise ValueError("sampled_closed_form requires an evaluator")
             self.breakpoints = None
             self.values = None
             self.evaluator = evaluator
-            self._cum = None
+            self._cells = None
             # a read-only view, also for an evaluator that returns a scalar
             samples = np.broadcast_to(self.eval(PROBE_GRID), PROBE_GRID.shape)
             if not np.all(np.isfinite(samples)):
@@ -195,6 +194,21 @@ class PeriodicWeight:
 
     # -- quadrature -------------------------------------------------------
 
+    def cells(self):
+        """(left edges, cumulative integral, values) of the weight's cells.
+
+        The cumulative integral runs from 0 to every cell edge, so it has
+        one entry more than there are cells; the last is the period's.
+        Exact for a piecewise-constant weight, whose cells are its pieces;
+        a closed form's are the PANELS panels, valued at their midpoints.
+        """
+        if self._cells is None:
+            mids = 0.5 * (_GRID_EDGES[:-1] + _GRID_EDGES[1:])
+            vals = np.broadcast_to(self.eval(mids), mids.shape)
+            self._cells = (_GRID_EDGES[:-1], np.concatenate(
+                ([0.0], np.cumsum(vals * np.diff(_GRID_EDGES)))), vals)
+        return self._cells
+
     def antiderivative(self, theta):
         """Integral of w from 0 to theta, for any real theta.
 
@@ -204,22 +218,15 @@ class PeriodicWeight:
         th = np.asarray(theta, dtype=float)
         n_per = np.floor(th / TWO_PI)
         rem = th - TWO_PI * n_per
+        edges, cum, vals = self.cells()
         if self.kind == "piecewise_constant":
-            total = self._cum[-1]
-            idx = np.searchsorted(self.breakpoints, rem, side="right") - 1
-            part = self._cum[idx] + self.values[idx] * (rem - self.breakpoints[idx])
+            idx = np.searchsorted(edges, rem, side="right") - 1
+            part = cum[idx] + vals[idx] * (rem - edges[idx])
         else:
-            if self._grid_cum is None:
-                mids = 0.5 * (_GRID_EDGES[:-1] + _GRID_EDGES[1:])
-                self._grid_cum = np.concatenate(
-                    ([0.0], np.cumsum(self.eval(mids) * np.diff(_GRID_EDGES))))
-            total = self._grid_cum[-1]
-            h = TWO_PI / PANELS
-            k = np.minimum((rem / h).astype(int), PANELS - 1)
-            x_k = _GRID_EDGES[k]
-            d = rem - x_k
-            part = self._grid_cum[k] + d * self.eval(x_k + 0.5 * d)
-        out = n_per * total + part
+            k = np.minimum((rem / (TWO_PI / PANELS)).astype(int), PANELS - 1)
+            d = rem - edges[k]
+            part = cum[k] + d * self.eval(edges[k] + 0.5 * d)
+        out = n_per * cum[-1] + part
         return match_scalar(theta, out)
 
     def integrate(self, theta0, theta1):

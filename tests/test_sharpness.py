@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, PowerWeightPair, bound_general,
                        bound_power, closed_form_pq0, extremal_fn_pq,
@@ -338,3 +340,21 @@ def test_sharpness_characterization_rejects_a_disagreeing_report():
         sharpness_characterization(
             pair.a, pair.b,
             cross_check=dataclasses.replace(report, sharp=True))
+
+
+_power_exponents = st.floats(-1.0, 2.0).flatmap(
+    lambda p: st.tuples(st.just(p), st.floats(max(-0.5, 0.1 - p), 2.0)))
+
+
+@given(st.booleans(), st.floats(1.5, 10.0), _power_exponents)
+@settings(max_examples=25, deadline=None)
+def test_verify_and_characterization_agree_property(sine, M, pq):
+    # the sampled sine gamma is never sharp, the extremal one always is;
+    # sharpness_characterization raises when its verdict and the report's
+    # disagree
+    p, q = pq
+    gamma = sine_family(M) if sine else extremal_weight_pq(M, p, q).weight
+    pair = PowerWeightPair.create(gamma, p, q)
+    is_sharp, _, _ = sharpness_characterization(
+        pair.a, pair.b, cross_check=verify_sharpness(pair, n=512))
+    assert is_sharp is not sine
