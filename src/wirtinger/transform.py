@@ -18,12 +18,10 @@ from .weights import (PROBE_GRID, TWO_PI, PeriodicWeight, match_scalar,
                       product, split_panels, sqrt_ratio)
 
 #: probe points and grid phases of the functional-equation residual; the
-#: probes are the odd half of PROBE_GRID, the midpoints (i + 1/2) 2pi/N_PROBES
+#: probes are the odd half of PROBE_GRID, the midpoints (i + 1/2) 2pi/N_PROBES,
+#: and the phases k 2pi/N_PHASES (see _phase_scan for the lattice they form)
 N_PROBES = PROBE_GRID.size // 2
-N_PHASES = 4096
-
-#: phases scanned before the rest, which is skipped on an exact zero
-HEAD_PHASES = N_PHASES // 16
+N_PHASES = 2 * N_PROBES
 
 
 class PiecewiseLinearMap:
@@ -60,7 +58,10 @@ class PiecewiseLinearMap:
         xv = np.asarray(x, dtype=float)
         n_per = np.floor(xv / TWO_PI)
         rem = xv - TWO_PI * n_per
-        idx = np.searchsorted(self.breakpoints, rem, side="right") - 1
+        # rem rounds slightly below 0 just under a multiple of 2pi; the
+        # first interval continues linearly there
+        idx = np.maximum(
+            np.searchsorted(self.breakpoints, rem, side="right") - 1, 0)
         out = (TWO_PI * n_per + self.values[idx]
                + self.slopes[idx] * (rem - self.breakpoints[idx]))
         return match_scalar(x, out)
@@ -78,16 +79,9 @@ class ChangeOfVariables:
     a: PeriodicWeight
     b: PeriodicWeight
     c: float
-    density: PeriodicWeight            # sqrt(a/b)
-    forward_map: PiecewiseLinearMap    # tau(theta), see build_cov
-
-    def forward(self, theta):
-        """tau(theta): normalized antiderivative of sqrt(a/b)."""
-        return self.forward_map(theta)
-
-    def inverse(self, tau):
-        """theta(tau): the exact inverse of the forward map."""
-        return self.forward_map.inverse()(tau)
+    density: PeriodicWeight        # sqrt(a/b)
+    forward: PiecewiseLinearMap    # tau(theta), see build_cov
+    inverse: PiecewiseLinearMap    # theta(tau), its exact inverse
 
 
 def build_cov(a, b):
@@ -100,9 +94,9 @@ def build_cov(a, b):
     density = sqrt_ratio(a, b)
     c = density.mean()
     edges, cum, vals = density.cells()
-    fwd_map = PiecewiseLinearMap(edges, cum[:-1] / c, vals / c)
-    return ChangeOfVariables(a=a, b=b, c=c, density=density,
-                             forward_map=fwd_map)
+    fwd = PiecewiseLinearMap(edges, cum[:-1] / c, vals / c)
+    return ChangeOfVariables(a=a, b=b, c=c, density=density, forward=fwd,
+                             inverse=fwd.inverse())
 
 
 def transported_geometric_mean(cov):
@@ -211,68 +205,31 @@ def _bar_a_pattern(tau, L):
     return np.where(lo, 1.0, float(L))
 
 
-def _quarter(t):
-    """Quarter index of t in [0, 4pi): 4 per wrap plus the quarter of t mod 2pi.
+def _phase_scan(gv, L):
+    """max_i |gv_i - _bar_a_pattern(probes_i + phi_k, L)| at every grid phase.
 
-    Its parity is the lo/hi split of `_bar_a_pattern` (even means lo).
+    Relies on the lattice of probes and phases: probe i is (2i + 1) d and
+    phase k is k d, d = 2pi/N_PHASES, with N_PHASES = 2 N_PROBES and
+    N_PROBES divisible by 4 (a power of two, for the window doubling
+    below). At phase k probe i then lies in quarter
+    (2i + 1 + k) // (N_PHASES/4), lo when even, and so does the float
+    sum probes_i + phi_k that `_bar_a_pattern` reads, ties included.
+    Probes i and i + n/2 are two quarters apart, so each deviation row
+    folds to n/2 entries by max; there the lo probes of phase k are the
+    cyclic window of n/4 starting at -((k + 1) // 2), and the hi probes
+    the window n/4 later. max is exact, so each residual is the same
+    float as the direct scan.
     """
-    tm = np.mod(t, TWO_PI)
-    return (4 * (t >= TWO_PI) + (tm >= math.pi / 2) + (tm >= math.pi)
-            + (tm >= 3 * math.pi / 2))
-
-
-def _phase_scan(gv, probes, phases, L):
-    """max_i |gv_i - _bar_a_pattern(probes_i + phi, L)| for every phi in phases.
-
-    For phi in [0, 2pi) and sorted probes the times fl(probes_i + phi) lie
-    in [0, 4pi) and never decrease with i, and np.mod is exact there, so
-    the quarter index never decreases either: each phase splits the probes
-    into 8 runs of one quarter. The run of level l starts near
-    ceil((l pi/2 - phi)/h - 1/2) on the midpoint grid (i + 1/2)h, h = 2pi/n;
-    from there each start moves one probe per pass, checked against
-    `_quarter` on the actual floats, until no start moves (two passes on
-    the midpoint grid, more on other sorted grids). The residual is the max
-    of |gv - 1| or |gv - L| over each run, by the parity of the run, read
-    from a sparse table of maxima over power-of-two windows; max is exact,
-    so the result is the same float as the direct scan.
-    """
-    n = probes.size
-    levels = np.arange(1, 8)
-    t = phases[:, None]
-    est = np.ceil((levels * (math.pi / 2) - t) / (TWO_PI / n) - 0.5)
-    starts = np.clip(est, 0, n).astype(np.intp)
-    while True:
-        down = (starts > 0) & (
-            _quarter(probes[np.maximum(starts - 1, 0)] + t) >= levels)
-        up = (starts < n) & (
-            _quarter(probes[np.minimum(starts, n - 1)] + t) < levels)
-        if not (down.any() or up.any()):
-            break
-        starts = starts - down + up
-
-    # table[k, j, i] = max of row j of the deviations over [i, i + 2^k);
-    # column n keeps the start n of an empty last run in range
-    depth = n.bit_length()
-    table = np.zeros((depth, 2, n + 1))
-    table[0, 0, :n] = np.abs(gv - 1.0)
-    table[0, 1, :n] = np.abs(gv - L)
-    for k in range(1, depth):
-        half, width = 1 << (k - 1), n - (1 << k) + 1
-        np.maximum(table[k - 1, :, :width], table[k - 1, :, half:half + width],
-                   out=table[k, :, :width])
-    # run j of a phase is [lo_j, hi_j); two windows of width 2^k with
-    # k = floor(log2(hi_j - lo_j)) cover it
-    edges = np.hstack((np.zeros_like(starts[:, :1]), starts,
-                       np.full_like(starts[:, :1], n)))
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    size = hi - lo
-    k = np.maximum(np.frexp(size)[1] - 1, 0)
-    parity = np.arange(8) % 2
-    run_max = np.maximum(table[k, parity, lo],
-                         table[k, parity, hi - (1 << k)])
-    # an empty run reads arbitrary in-range entries; 0 is neutral instead,
-    # as every deviation is >= 0
-    return np.max(np.where(size > 0, run_max, 0.0), axis=1)
+    half, quarter = gv.size // 2, gv.size // 4
+    dev = np.abs(gv - np.array([[1.0], [L]]))
+    win = np.maximum(dev[:, :half], dev[:, half:])
+    # win[:, j] becomes the max over the cyclic window [j, j + quarter)
+    width = 1
+    while width < quarter:
+        win = np.maximum(win, np.roll(win, -width, axis=1))
+        width *= 2
+    lo = -((np.arange(2 * gv.size) + 1) // 2) % half
+    return np.maximum(win[0, lo], win[1, (lo + quarter) % half])
 
 
 def functional_eq_residual(g):
@@ -280,33 +237,23 @@ def functional_eq_residual(g):
 
     Normalizes g to infimum 1 and compares it against the square-wave
     extremal pattern with the matching oscillation L at the N_PROBES odd
-    points of the weights' PROBE_GRID. A sampled g is read from the
-    `probe_samples` its constructor kept there, not evaluated again.
-    `_phase_scan` gives the sup-norm mismatch at the N_PHASES phases of
-    a grid: the first HEAD_PHASES, and the rest only when none of those
-    has a mismatch of exactly 0, which no phase can beat (the first
-    phase that attains it is the one a full scan picks). The best grid
-    phase is then refined by golden-section search, unless its mismatch
-    is exactly 0. Returns (residual, best_phase).
+    points of the weights' PROBE_GRID. `_phase_scan` gives the sup-norm
+    mismatch at all N_PHASES grid phases at once; the first phase of
+    least mismatch is refined by golden-section search, unless its
+    mismatch is exactly 0, which no phase can beat. Returns
+    (residual, best_phase).
     """
     bounds = g.ess_bounds()
     L = bounds.sup / bounds.inf
     probes = PROBE_GRID[1::2]
-    if g.probe_samples is not None:
-        gv = g.probe_samples[1::2] / bounds.inf
-    else:
-        gv = np.asarray(g.eval(probes)) / bounds.inf
+    gv = np.asarray(g.eval(probes)) / bounds.inf
 
     def residual(phi):
         return float(np.max(np.abs(gv - _bar_a_pattern(probes + phi, L))))
 
-    phases = np.arange(N_PHASES) * (TWO_PI / N_PHASES)
-    grid_res = _phase_scan(gv, probes, phases[:HEAD_PHASES], L)
-    if grid_res.min() > 0.0:
-        grid_res = np.concatenate(
-            (grid_res, _phase_scan(gv, probes, phases[HEAD_PHASES:], L)))
+    grid_res = _phase_scan(gv, L)
     k = int(np.argmin(grid_res))
-    best_phi, best_res = float(phases[k]), float(grid_res[k])
+    best_phi, best_res = k * (TWO_PI / N_PHASES), float(grid_res[k])
     if best_res == 0.0:
         return best_res, best_phi
 

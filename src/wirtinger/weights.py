@@ -56,12 +56,11 @@ class PeriodicWeight:
     Breakpoints, values and declared bounds must be finite, and values
     at least POSITIVITY_FLOOR.  A sampled closed form is evaluated once
     on PROBE_GRID at construction; those samples must be finite and at
-    least POSITIVITY_FLOOR, and stay readable as the read-only
-    `probe_samples` (None for a piecewise-constant weight).
+    least POSITIVITY_FLOOR, and their extremes are its probed bounds.
     """
 
     __slots__ = ("kind", "breakpoints", "values", "evaluator",
-                 "declared_bounds", "probe_samples", "_cells", "_range")
+                 "declared_bounds", "_cells", "_range")
 
     def __init__(self, kind, breakpoints=None, values=None, evaluator=None,
                  declared_bounds=None):
@@ -98,7 +97,6 @@ class PeriodicWeight:
             self.breakpoints = bp
             self.values = vals
             self.evaluator = None
-            self.probe_samples = None
             edges = np.concatenate((bp, [TWO_PI]))
             self._cells = (bp, np.concatenate(
                 ([0.0], np.cumsum(vals * np.diff(edges)))), vals)
@@ -109,13 +107,11 @@ class PeriodicWeight:
             self.values = None
             self.evaluator = evaluator
             self._cells = None
-            # a read-only view, also for an evaluator that returns a scalar
-            samples = np.broadcast_to(self.eval(PROBE_GRID), PROBE_GRID.shape)
+            samples = self.eval(PROBE_GRID)
             if not np.all(np.isfinite(samples)):
                 raise ValueError("weight is not finite")
             if np.min(samples) < POSITIVITY_FLOOR:
                 raise ValueError("weight is not bounded away from zero")
-            self.probe_samples = samples
         # exact range of a piecewise-constant weight; a closed form's probe
         self._range = (float(np.min(samples)), float(np.max(samples)))
 
@@ -220,7 +216,9 @@ class PeriodicWeight:
         rem = th - TWO_PI * n_per
         edges, cum, vals = self.cells()
         if self.kind == "piecewise_constant":
-            idx = np.searchsorted(edges, rem, side="right") - 1
+            # rem rounds slightly below 0 just under a multiple of 2pi;
+            # the first piece continues linearly there
+            idx = np.maximum(np.searchsorted(edges, rem, side="right") - 1, 0)
             part = cum[idx] + vals[idx] * (rem - edges[idx])
         else:
             k = np.minimum((rem / (TWO_PI / PANELS)).astype(int), PANELS - 1)

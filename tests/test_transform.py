@@ -10,7 +10,7 @@ from wirtinger import (PeriodicWeight, build_cov, c_pq, functional_eq_residual,
                        transform, transported_geometric_mean)
 from wirtinger.sharpness import (extremal_fn_ps, extremal_weight_pq,
                                  extremal_weight_ps)
-from wirtinger.transform import _bar_a_pattern, _phase_scan, _quarter
+from wirtinger.transform import N_PHASES, N_PROBES, _bar_a_pattern, _phase_scan
 
 TWO_PI = 2 * math.pi
 
@@ -28,7 +28,7 @@ def test_cov_squared_bar_a():
     abar = extremal_weight_ps(4.0)
     cov = build_cov(abar.power(2.0), PeriodicWeight.constant(1.0))
     assert cov.c == pytest.approx(2.5, rel=1e-14)
-    assert list(cov.forward_map.slopes) == pytest.approx([0.4, 1.6, 0.4, 1.6])
+    assert list(cov.forward.slopes) == pytest.approx([0.4, 1.6, 0.4, 1.6])
     probes = np.linspace(-7, 14, 500)
     assert np.max(np.abs(cov.inverse(cov.forward(probes)) - probes)) < 1e-10
 
@@ -81,6 +81,20 @@ def test_sampled_cov_integrates_the_density_twice_at_most(monkeypatch):
     transported_geometric_mean(
         build_cov(sine_family(4.0), PeriodicWeight.constant(1.0)))
     assert len(calls) <= 2
+
+
+def test_maps_continue_below_a_multiple_of_two_pi():
+    # just under a multiple of 2pi, x - 2pi floor(x/2pi) can round below 0;
+    # the first cell continues there instead of the last cell being read
+    one = PeriodicWeight.constant(1.0)
+    abar_sq = extremal_weight_ps(4.0).power(2.0)
+    cov = build_cov(abar_sq, one)
+    for f in (one.antiderivative, abar_sq.antiderivative, cov.forward,
+              cov.inverse):
+        for k in (1, 17, -3):
+            x = k * TWO_PI
+            assert abs(f(np.nextafter(x, 0.0)) - f(x)) <= 1e-12
+        assert abs(f(-5e-324) - f(0.0)) <= 1e-12
 
 
 def test_forward_lift():
@@ -206,26 +220,32 @@ def _dense_phase_scan(gv, probes, phases, L):
     return grid_res
 
 
-def _scan_grids(n_probes, n_phases):
-    probes = (np.arange(n_probes) + 0.5) * (TWO_PI / n_probes)
-    phases = np.arange(n_phases) * (TWO_PI / n_phases)
-    return probes, phases
+# the residual's lattice: probes (i + 1/2) 2pi/N_PROBES, phases k 2pi/N_PHASES
+PROBES = (np.arange(N_PROBES) + 0.5) * (TWO_PI / N_PROBES)
+PHASES = np.arange(N_PHASES) * (TWO_PI / N_PHASES)
 
 
-def _assert_scan_matches_dense(gv, L, n_probes, n_phases):
-    probes, phases = _scan_grids(n_probes, n_phases)
-    assert np.array_equal(_phase_scan(gv, probes, phases, L),
-                          _dense_phase_scan(gv, probes, phases, L))
+def _assert_scan_matches_dense(gv, L):
+    assert np.array_equal(_phase_scan(gv, L),
+                          _dense_phase_scan(gv, PROBES, PHASES, L))
 
 
-@pytest.mark.parametrize("n_probes,n_phases", [(2048, 4096), (100, 37)])
-def test_phase_scan_matches_dense_on_grid_rotations(n_probes, n_phases):
+def test_lattice_quarters_match_the_float_pattern():
+    # _phase_scan assumes probe i lies in quarter (2i + 1 + k) // (N_PHASES/4)
+    # at phase k; the float sums _bar_a_pattern reads agree at every pair,
+    # including the odd k that put a probe on a quarter boundary
+    odd = 2 * np.arange(N_PROBES) + 1
+    for start in range(0, N_PHASES, 256):
+        k = np.arange(start, start + 256)[:, None]
+        lo = _bar_a_pattern(PROBES[None, :] + PHASES[k], 2.0) == 1.0
+        assert np.array_equal(lo, (odd + k) // (N_PHASES // 4) % 2 == 0)
+
+
+def test_phase_scan_matches_dense_on_grid_rotations():
     # a square wave rotated by an exact grid phase ties that phase at 0
-    probes, phases = _scan_grids(n_probes, n_phases)
-    for k in (1, n_phases // 3, n_phases - 1):
+    for k in (1, N_PHASES // 3, N_PHASES - 1):
         for L in (1.0, 4.0):
-            gv = _bar_a_pattern(probes - phases[k], L)
-            _assert_scan_matches_dense(gv, L, n_probes, n_phases)
+            _assert_scan_matches_dense(_bar_a_pattern(PROBES - PHASES[k], L), L)
 
 
 @pytest.mark.parametrize("a,b", [
@@ -238,64 +258,34 @@ def test_phase_scan_matches_dense_on_grid_rotations(n_probes, n_phases):
 def test_phase_scan_matches_dense_on_verify_pairs(a, b):
     g = transported_geometric_mean(build_cov(a, b))
     bounds = g.ess_bounds()
-    probes, _ = _scan_grids(2048, 4096)
-    gv = np.asarray(g.eval(probes)) / bounds.inf
-    _assert_scan_matches_dense(gv, bounds.sup / bounds.inf, 2048, 4096)
+    gv = np.asarray(g.eval(PROBES)) / bounds.inf
+    _assert_scan_matches_dense(gv, bounds.sup / bounds.inf)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(1.0, 10.0),
-       st.integers(8, 4096), st.integers(8, 4096))
-@settings(max_examples=50, deadline=None)
-def test_phase_scan_matches_dense_property(seed, L, n_probes, n_phases):
-    gv = np.random.default_rng(seed).uniform(1.0, L, n_probes)
-    _assert_scan_matches_dense(gv, L, n_probes, n_phases)
+       st.integers(0, N_PHASES - 1), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_phase_scan_matches_dense_property(seed, L, k, near_square):
+    # uniform noise, or a square wave rotated to grid phase k within 1e-6
+    rng = np.random.default_rng(seed)
+    if near_square:
+        gv = (_bar_a_pattern(PROBES + PHASES[k], L)
+              * rng.uniform(1.0, 1.0 + 1e-6, N_PROBES))
+    else:
+        gv = rng.uniform(1.0, L, N_PROBES)
+    _assert_scan_matches_dense(gv, L)
 
 
-@pytest.mark.parametrize("n_probes,n_phases,k", [
-    (2048, 4096, 3), (2048, 4096, 7), (16, 32, 11), (8, 16, 15)])
-def test_phase_scan_matches_dense_at_boundary_ties(n_probes, n_phases, k):
+@pytest.mark.parametrize("k", [3, 7],
+                         ids=lambda k: f"{N_PROBES}-{N_PHASES}-{k}")
+def test_phase_scan_matches_dense_at_boundary_ties(k):
     # at odd phase indices probes_i + phi is a multiple of pi/2 in exact
     # arithmetic; the float sum rounds to either side of that boundary
-    probes, phases = _scan_grids(n_probes, n_phases)
-    assert np.isin(probes + phases[k], np.arange(1, 8) * (math.pi / 2)).any()
-    gv = _bar_a_pattern(probes + phases[k], 4.0)
-    scan = _phase_scan(gv, probes, phases, 4.0)
+    assert np.isin(PROBES + PHASES[k], np.arange(1, 8) * (math.pi / 2)).any()
+    gv = _bar_a_pattern(PROBES + PHASES[k], 4.0)
+    scan = _phase_scan(gv, 4.0)
     assert scan[k] == 0.0
-    assert np.array_equal(scan, _dense_phase_scan(gv, probes, phases, 4.0))
-
-
-@pytest.mark.parametrize("sizes", [(1, 8, 5, 16), (0, 1, 2, 3), (37, 0, 0, 0),
-                                   (0, 0, 0, 64)])
-def test_phase_scan_run_lengths(sizes):
-    # sizes[j] probes inside quarter j; the phases move whole clusters
-    # between quarters, giving runs of length 0, 1, 2^k, 3, 5 and n
-    probes = np.concatenate([(2 * j + 1) * math.pi / 4
-                             + np.linspace(-0.5, 0.5, s)
-                             for j, s in enumerate(sizes)])
-    phases = np.arange(4) * (math.pi / 2) + 0.1
-    for j, phi in enumerate(phases):
-        runs = np.bincount(_quarter(probes + phi), minlength=8)
-        assert np.array_equal(runs, np.roll(np.r_[sizes, 0, 0, 0, 0], j))
-    gv = _bar_a_pattern(probes + phases[1], 3.0)
-    scan = _phase_scan(gv, probes, phases, 3.0)
-    assert scan[1] == 0.0
-    assert np.array_equal(scan, _dense_phase_scan(gv, probes, phases, 3.0))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_phase_scan_matches_dense_on_unequal_grids(seed):
-    # the midpoint-grid estimate is many probes off on these sorted grids,
-    # so every run start is walked to its quarter by the fix-up alone
-    rng = np.random.default_rng(seed)
-    n = 300
-    for probes in (np.sort(rng.uniform(0.0, TWO_PI, n)),
-                   TWO_PI * np.linspace(0.0, 1.0, n, endpoint=False) ** 3):
-        phases = np.sort(rng.uniform(0.0, TWO_PI, 64))
-        gv = (_bar_a_pattern(probes + phases[7], 5.0)
-              * rng.uniform(1.0, 1.01, n))
-        scan = _phase_scan(gv, probes, phases, 5.0)
-        assert scan[7] < 0.06
-        assert np.array_equal(scan, _dense_phase_scan(gv, probes, phases, 5.0))
+    assert np.array_equal(scan, _dense_phase_scan(gv, PROBES, PHASES, 4.0))
 
 
 @pytest.mark.parametrize("a,refined", [
@@ -358,13 +348,12 @@ def test_substitution_vanishing_first_moment_stays_finite():
 
 
 def _dense_functional_eq_residual(g):
-    """functional_eq_residual with g.eval, all phases and refinement.
+    """functional_eq_residual written out over its lattice (reference).
 
-    The reference the probe reuse and the head-block stop must match bit
-    for bit: midpoint probes (i + 1/2) 2pi/2048 evaluated through g.eval,
-    a scan over every phase (by `_phase_scan`, which the tests above hold
-    equal to `_dense_phase_scan`), the first minimum, and golden-section
-    refinement above zero.
+    Midpoint probes (i + 1/2) 2pi/2048 evaluated through g.eval, a scan
+    over every phase k 2pi/4096 (by `_phase_scan`, which the tests above
+    hold equal to `_dense_phase_scan`), the first minimum, and
+    golden-section refinement above zero.
     """
     bounds = g.ess_bounds()
     L = bounds.sup / bounds.inf
@@ -375,7 +364,7 @@ def _dense_functional_eq_residual(g):
         return float(np.max(np.abs(gv - _bar_a_pattern(probes + phi, L))))
 
     phases = np.arange(4096) * (TWO_PI / 4096)
-    grid_res = _phase_scan(gv, probes, phases, L)
+    grid_res = _phase_scan(gv, L)
     k = int(np.argmin(grid_res))
     best_phi, best_res = float(phases[k]), float(grid_res[k])
     if best_res == 0.0:
@@ -409,77 +398,33 @@ def _bits(res_phase):
 
 
 def test_residual_probes_are_the_odd_half_of_the_probe_grid(monkeypatch):
-    # the probes the residual scans are, bit for bit, the midpoints
-    # (i + 1/2) 2pi/N_PROBES, and a piecewise-constant g is evaluated there
+    # the probes the residual evaluates g at are, bit for bit, the
+    # midpoints (i + 1/2) 2pi/N_PROBES, for either kind of weight
     midpoints = (np.arange(2048) + 0.5) * (TWO_PI / 2048)
-    assert transform.N_PROBES == 2048
+    assert N_PROBES == 2048
     assert np.array_equal(transform.PROBE_GRID[1::2].view(np.int64),
                           midpoints.view(np.int64))
-    scanned, evaluated = [], []
-
-    def scan_spy(gv, probes, phases, L):
-        scanned.append(np.array(probes))
-        return _phase_scan(gv, probes, phases, L)
-
-    g = _rotated_square_wave()
+    weights = (_rotated_square_wave(), _sine_g())
+    evaluated = []
     real_eval = PeriodicWeight.eval
 
     def eval_spy(self, theta):
-        if self is g:
+        if any(self is g for g in weights):
             evaluated.append(np.array(theta))
         return real_eval(self, theta)
 
-    monkeypatch.setattr(transform, "_phase_scan", scan_spy)
     monkeypatch.setattr(PeriodicWeight, "eval", eval_spy)
-    functional_eq_residual(g)
-    assert scanned and evaluated
-    for probes in scanned + evaluated:
+    for g in weights:
+        functional_eq_residual(g)
+    assert len(evaluated) == len(weights)
+    for probes in evaluated:
         assert np.array_equal(probes.view(np.int64), midpoints.view(np.int64))
 
 
-def test_residual_reads_probe_samples_of_a_sampled_g(monkeypatch):
-    # a sampled g is read from the samples its constructor's probe took,
-    # so the inverse map does not run again in the residual
+def test_residual_of_a_sampled_g_matches_dense():
     g = _sine_g()
-    expected = _dense_functional_eq_residual(g)
-    calls = []
-    real_inverse = transform.ChangeOfVariables.inverse
-
-    def spy(self, tau):
-        calls.append(np.size(tau))
-        return real_inverse(self, tau)
-
-    monkeypatch.setattr(transform.ChangeOfVariables, "inverse", spy)
-    assert _bits(functional_eq_residual(g)) == _bits(expected)
-    assert calls == []
-
-
-@pytest.mark.parametrize("make_g,scanned", [
-    (lambda: transported_geometric_mean(build_cov(
-        extremal_weight_pq(4.0, 1.0, 0.0).weight, PeriodicWeight.constant(1.0))),
-     256),
-    (_sine_g, 4096),
-    (_rotated_square_wave, 4096),
-    (lambda: PeriodicWeight.piecewise(0.3 + np.arange(4) * (math.pi / 2),
-                                      [1.0, 1.0 + 1e-7, 1.0, 1.0 + 1e-7]),
-     4096),
-], ids=["bar-gamma", "sine", "rotated-pwc", "rotated-near-flat"])
-def test_phase_scan_stops_after_a_zero_in_the_head_block(monkeypatch, make_g,
-                                                          scanned):
-    # bar-gamma's zero is at phase 0; sine has none, and the rotated
-    # waves' first zeros lie past the head block, whose minimum for the
-    # near-flat one is a positive 1e-7: all three scan every phase
-    g = make_g()
-    counts = []
-
-    def spy(gv, probes, phases, L):
-        counts.append(phases.size)
-        return _phase_scan(gv, probes, phases, L)
-
-    monkeypatch.setattr(transform, "_phase_scan", spy)
-    functional_eq_residual(g)
-    assert sum(counts) == scanned
-    assert counts[0] == transform.HEAD_PHASES == 256
+    assert _bits(functional_eq_residual(g)) == _bits(
+        _dense_functional_eq_residual(g))
 
 
 @st.composite
@@ -492,7 +437,7 @@ def _residual_cases(draw):
     pwc = PeriodicWeight.piecewise(bp, draw(st.lists(
         st.floats(0.5, 5.0), min_size=k, max_size=k)))
     const = PeriodicWeight.constant(draw(st.floats(0.1, 10.0)))
-    # zero residual at phase pi - shift, past the head block [0, pi/8)
+    # zero residual at phase pi - shift only, past pi/8
     shift = draw(st.floats(0.05, 1.5))
     wave = PeriodicWeight.piecewise(shift + np.arange(4) * (math.pi / 2),
                                     [1.0, 1.0 + 1e-7, 1.0, 1.0 + 1e-7])

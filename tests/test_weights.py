@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wirtinger import PeriodicWeight, product, sine_family
 from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
-from wirtinger.weights import PROBE_GRID, PROBE_POINTS
+from wirtinger.weights import PROBE_POINTS
 
 TWO_PI = 2 * math.pi
 
@@ -166,6 +166,9 @@ def test_probe_runs_once_without_declared_bounds():
     assert calls == [PROBE_POINTS]
     assert cm.inf == pytest.approx(1.0, abs=1e-6)
     assert cm.sup == pytest.approx(3.0, abs=1e-6)
+    # an evaluator may return a scalar for the whole probe
+    flat = PeriodicWeight.from_callable(lambda th: 3.0)
+    assert (flat.ess_bounds().inf, flat.ess_bounds().sup) == (3.0, 3.0)
 
 
 def test_sampled_product_golden_values():
@@ -175,18 +178,6 @@ def test_sampled_product_golden_values():
     assert (cm.inf.hex(), cm.sup.hex(), float(w.mean()).hex()) == (
         "0x1.0000000000000p+0", "0x1.8000000000000p+3",
         "0x1.6fffffffffff7p+2")
-
-
-def test_probe_samples_are_kept_read_only():
-    # the constructor's positivity probe is kept for later readers
-    w = sine_family(4.0)
-    assert np.array_equal(w.probe_samples, w.eval(PROBE_GRID))
-    assert w.probe_samples.shape == (PROBE_POINTS,)
-    with pytest.raises(ValueError):
-        w.probe_samples[0] = 2.0
-    flat = PeriodicWeight.from_callable(lambda th: 3.0)
-    assert np.array_equal(flat.probe_samples, np.full(PROBE_POINTS, 3.0))
-    assert extremal_weight_ps(4.0).probe_samples is None
 
 
 @pytest.mark.parametrize("make", [
