@@ -217,11 +217,14 @@ def verify_sharpness(pair, n=2048):
     """Compare the spectral constant of (gamma^p, gamma^q) to the bound.
 
     The computed constant is Richardson-extrapolated from meshes of size
-    n/4, n/2, n; the bound counts as attained when the relative gap is
-    within SHARPNESS_TOL.
+    n/4, n/2, n, so n must be at least 32; the bound counts as attained
+    when the relative gap is within SHARPNESS_TOL.
     """
     if pair.p + pair.q < 0:
         raise ValueError("verification requires p + q >= 0")
+    if n < 32:
+        raise ValueError(
+            "verification requires n >= 32 (its coarsest mesh is n/4)")
     bound = bound_power(pair)
     result = spectral.converge(pair.a, pair.b, [n // 4, n // 2, n])
     gap = (bound - result.constant) / bound

@@ -18,7 +18,8 @@ from .weights import PANELS, TWO_PI, PeriodicWeight, split_panels
 
 
 class SolverError(RuntimeError):
-    """Eigenvalue extraction failed or produced a nonpositive lambda_1."""
+    """Eigenvalue extraction failed, or its lambda_1 is nonpositive or
+    fails the eigenpair residual check."""
 
 
 @dataclass(frozen=True)
@@ -79,20 +80,19 @@ _GP = 0.5 * (_GP + 1.0)
 _GW = 0.5 * _GW
 
 
-def assemble(a, b, mesh):
-    """Stiffness (from b) and mass (from a) matrices on the periodic mesh.
+def _element_entries(a, b, mesh):
+    """Per-element stiffness and local mass entries (kdiag, m00, m01, m11).
 
-    Per-element 4-point Gauss quadrature; exact whenever the weights are
-    constant on each element, which mesh construction guarantees for
-    piecewise-constant weights.
+    Element e joins nodes e and e+1 (mod m); its stiffness block is
+    kdiag[e] * [[1, -1], [-1, 1]] and its mass block [[m00, m01], [m01,
+    m11]].  Per-element 4-point Gauss quadrature; exact whenever the
+    weights are constant on each element, which mesh construction
+    guarantees for piecewise-constant weights.
     """
-    x = mesh.nodes
     h = mesh.lengths
-    m = mesh.n
-    pts = x[:, None] + h[:, None] * _GP[None, :]          # (m, 4)
-    av = np.asarray(a.eval(pts.ravel())).reshape(m, 4)
-    bv = np.asarray(b.eval(pts.ravel())).reshape(m, 4)
-
+    pts = (mesh.nodes[:, None] + h[:, None] * _GP[None, :]).ravel()
+    av = np.asarray(a.eval(pts)).reshape(-1, 4)
+    bv = np.asarray(b.eval(pts)).reshape(-1, 4)
     phi0 = 1.0 - _GP
     phi1 = _GP
     # local mass entries: h * sum_k gw_k a_k phi_i(x_k) phi_j(x_k)
@@ -100,17 +100,72 @@ def assemble(a, b, mesh):
     m01 = h * (av @ (_GW * phi0 * phi1))
     m11 = h * (av @ (_GW * phi1 * phi1))
     # local stiffness: (1/h) * sum_k gw_k b_k on the [[1,-1],[-1,1]] stencil
-    kdiag = (bv @ _GW) / h
+    return (bv @ _GW) / h, m00, m01, m11
 
-    left = np.arange(m)
-    right = (left + 1) % m
-    rows = np.concatenate((left, left, right, right))
-    cols = np.concatenate((left, right, left, right))
-    mass = sp.coo_matrix((np.concatenate((m00, m01, m01, m11)), (rows, cols)),
-                         shape=(m, m)).tocsc()
-    stiff = sp.coo_matrix((np.concatenate((kdiag, -kdiag, -kdiag, kdiag)),
-                           (rows, cols)), shape=(m, m)).tocsc()
-    return stiff, mass
+
+def _cyclic_csc(d0, off, d1):
+    """Canonical CSC of the sum of the element blocks [[d0, off], [off, d1]].
+
+    For m >= 3 the matrix is cyclic tridiagonal, with d0[j] + d1[j-1] on
+    the diagonal and off[j] at (j, j+1) and (j+1, j), indices mod m: its
+    arrays are written directly.  For m < 3 the blocks overlap, and their
+    entries are summed column by column in element order, as a COO
+    scatter of the blocks would sum them.
+    """
+    m = d0.size
+    j = np.arange(m, dtype=np.int32)
+    if m < 3:
+        rows = np.stack((j, j - 1, j + 1, j), axis=1) % m
+        data = np.stack((d0, np.roll(off, 1), off, np.roll(d1, 1)), axis=1)
+        mat = sp.csc_matrix((data.ravel(), rows.ravel(),
+                             np.arange(0, 4 * m + 1, 4, dtype=np.int32)),
+                            shape=(m, m))
+        mat.sum_duplicates()
+        return mat
+    diag = d0 + np.roll(d1, 1)
+    rows = j[:, None] + np.array([-1, 0, 1], dtype=np.int32)
+    data = np.empty((m, 3))
+    data[1:, 0] = off[:-1]
+    data[:, 1] = diag
+    data[:, 2] = off
+    # the first and last columns wrap around; canonical CSC keeps their
+    # entries in increasing row order
+    rows[0], data[0] = (0, 1, m - 1), (diag[0], off[0], off[-1])
+    rows[-1], data[-1] = (0, m - 2, m - 1), (off[-1], off[-2], diag[-1])
+    return sp.csc_matrix((data.ravel(), rows.ravel(),
+                          np.arange(0, 3 * m + 1, 3, dtype=np.int32)),
+                         shape=(m, m))
+
+
+def assemble(a, b, mesh):
+    """Stiffness (from b) and mass (from a) matrices on the periodic mesh.
+
+    Both are canonical CSC; for m >= 3 nodes they are cyclic tridiagonal
+    and share one sparsity pattern.
+    """
+    kdiag, m00, m01, m11 = _element_entries(a, b, mesh)
+    return _cyclic_csc(kdiag, -kdiag, kdiag), _cyclic_csc(m00, m01, m11)
+
+
+class _Operator(spla.LinearOperator):
+    """A square operator whose `matvec` is the bare function `fn`.
+
+    eigsh in shift-invert mode calls the `matvec` of M and of OPinv about
+    160 times per solve; this skips the base class's shape checks and the
+    sparse product's dispatch.
+    """
+
+    def __init__(self, fn, m):
+        super().__init__(np.float64, (m, m))
+        self.matvec = fn
+
+    def _matvec(self, x):  # LinearOperator subclasses must define one
+        return self.matvec(x)
+
+
+#: largest eigenpair residual ||K u - lambda M u|| / (||K||_1 ||u||)
+#: best_constant accepts
+EIG_RESIDUAL_TOL = 1e-10
 
 
 def _deflate(v, ones_mass, ones_mass_norm):
@@ -118,7 +173,17 @@ def _deflate(v, ones_mass, ones_mass_norm):
 
 
 def best_constant(a, b, n=2048):
-    """Estimate C(a, b) = 1/lambda_1 on an n-node mesh."""
+    """Estimate C(a, b) = 1/lambda_1 on an n-node mesh.
+
+    Shift-invert Lanczos (ARPACK) with the shift placed from a trial
+    Rayleigh quotient; K - sigma M is factored once.  The returned pair
+    (lambda_1, eigenfunction) must satisfy ||K u - lambda_1 M u||_2 <=
+    EIG_RESIDUAL_TOL * ||K||_1 ||u||_2, else SolverError.  The check
+    catches a failed or unconverged eigensolve, not the digits lambda_1
+    loses to cancellation in K: on the reciprocal pair with a 3e-12
+    piece the residual is ~5e-18 while lambda_1 is off by 1.8e-5 at
+    n = 4096 (the gradient-form quotient of ROADMAP.md is the remedy).
+    """
     mesh = build_mesh(a, b, n)
     stiff, mass = assemble(a, b, mesh)
     m = mesh.n
@@ -134,11 +199,23 @@ def best_constant(a, b, n=2048):
     if lam_est <= 0:
         raise SolverError("trial Rayleigh quotient is nonpositive")
 
+    sigma = -0.5 * lam_est
     k = min(6, m - 2)
     try:
-        # fixed start vector keeps repeated solves bit-reproducible
-        vals, vecs = spla.eigsh(stiff, k=k, M=mass, sigma=-0.5 * lam_est,
-                                which="LM", v0=v / np.linalg.norm(v))
+        # K and M share one pattern, so this is scipy's stiff - sigma * mass,
+        # which drops exact zeros (on copies: K keeps its pattern)
+        shifted = sp.csc_matrix((stiff.data - sigma * mass.data,
+                                 stiff.indices, stiff.indptr),
+                                shape=stiff.shape, copy=True)
+        shifted.eliminate_zeros()
+        lu = spla.splu(shifted)
+        # fixed start vector keeps repeated solves bit-reproducible; in
+        # this mode eigsh reads only the shape and dtype of its first
+        # argument
+        vals, vecs = spla.eigsh(stiff, k=k, M=_Operator(mass.__matmul__, m),
+                                sigma=sigma, which="LM",
+                                v0=v / np.linalg.norm(v),
+                                OPinv=_Operator(lu.solve, m))
     except Exception as exc:  # ARPACK / factorization failure
         raise SolverError(f"generalized eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
@@ -159,6 +236,13 @@ def best_constant(a, b, n=2048):
     first = int(np.argmax(np.abs(u) >= (1.0 - 1e-8) * peak))
     if u[first] < 0:
         u = -u
+    # ||K||_1 is the largest column sum; each column holds three entries
+    stiff_norm = np.abs(stiff.data).reshape(m, 3).sum(axis=1).max()
+    eig_residual = np.linalg.norm(stiff @ u - lam1 * (mass @ u)) / (
+        stiff_norm * np.linalg.norm(u))
+    if not eig_residual <= EIG_RESIDUAL_TOL:
+        raise SolverError(f"eigenpair residual {eig_residual:.3g} exceeds "
+                          f"{EIG_RESIDUAL_TOL:g}")
     residual = abs(ones_mass @ u) / float(ones_mass @ np.abs(u))
     return SpectralResult(constant=1.0 / lam1, lambda1=lam1,
                           eigenfunction=u, nodes=mesh.nodes, n=m,

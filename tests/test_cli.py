@@ -154,6 +154,35 @@ def test_solver_error_exit_code(monkeypatch, capsys):
     assert rc == 3
 
 
+def test_eigenpair_residual_failure_exit_code(perturbed_eigsh, capsys):
+    rc = main(["solve", "--a", "const:1", "--b", "const:1", "--n", "64"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: eigenpair residual")
+
+
+def test_verify_below_32_names_its_own_limit(capsys):
+    # verify's coarsest mesh is n/4: n = 30 must not blame a 7-node mesh
+    assert main(["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1",
+                 "--q", "0", "--n", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid argument: verification requires n >= 32 "
+        "(its coarsest mesh is n/4)"]
+
+
+def test_sweep_row_below_32_names_its_own_limit(capsys):
+    rc = main(["sweep", "--M-list", "4", "--p-list", "1", "--q-list", "0",
+               "--n", "30"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert rows == [{"M": 4.0, "p": 1.0, "q": 0.0, "error":
+                     "verification requires n >= 32 (its coarsest mesh "
+                     "is n/4)"}]
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     for name in ("r1.json", "r2.json"):

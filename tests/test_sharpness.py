@@ -263,6 +263,13 @@ def test_verify_sharpness_sine_golden_values():
         "0x1.57a01b3f71b89p-2")
 
 
+def test_verify_sharpness_requires_n_at_least_32():
+    pair = PowerWeightPair.create(sine_family(4.0), 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"requires n >= 32 \(its coarsest"):
+        verify_sharpness(pair, n=31)
+    assert verify_sharpness(pair, n=32).n == 32
+
+
 def test_verify_sharpness_pq0_always_sharp():
     rep = verify_sharpness(PowerWeightPair.create(sine_family(4.0), 1.0, -1.0),
                            n=1024)

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
                        sine_family, transported_geometric_mean)
 from wirtinger.sharpness import (closed_form_pq0, extremal_fn_ps,
                                  extremal_weight_pq, extremal_weight_ps)
-from wirtinger.spectral import SolverError
+from wirtinger.spectral import _GP, _GW, Mesh, SolverError
 
 TWO_PI = 2 * math.pi
 ONE = PeriodicWeight.constant(1.0)
@@ -131,6 +132,61 @@ def test_best_constant_tiny_piece_reciprocal_pair(n):
 def test_build_mesh_rejects_small_n():
     with pytest.raises(ValueError):
         build_mesh(ONE, ONE, 7)
+
+
+def _coo_assemble(a, b, mesh):
+    """The COO scatter of the element blocks that assemble replaced (reference)."""
+    x = mesh.nodes
+    h = mesh.lengths
+    m = mesh.n
+    pts = x[:, None] + h[:, None] * _GP[None, :]
+    av = np.asarray(a.eval(pts.ravel())).reshape(m, 4)
+    bv = np.asarray(b.eval(pts.ravel())).reshape(m, 4)
+    phi0 = 1.0 - _GP
+    phi1 = _GP
+    m00 = h * (av @ (_GW * phi0 * phi0))
+    m01 = h * (av @ (_GW * phi0 * phi1))
+    m11 = h * (av @ (_GW * phi1 * phi1))
+    kdiag = (bv @ _GW) / h
+    left = np.arange(m)
+    right = (left + 1) % m
+    rows = np.concatenate((left, left, right, right))
+    cols = np.concatenate((left, right, left, right))
+    mass = sp.coo_matrix((np.concatenate((m00, m01, m01, m11)), (rows, cols)),
+                         shape=(m, m)).tocsc()
+    stiff = sp.coo_matrix((np.concatenate((kdiag, -kdiag, -kdiag, kdiag)),
+                           (rows, cols)), shape=(m, m)).tocsc()
+    return stiff, mass
+
+
+_rng = np.random.default_rng(500)
+PWC500 = PeriodicWeight.piecewise(np.sort(_rng.uniform(0.0, TWO_PI, 500)),
+                                  _rng.uniform(1.0, 4.0, 500))
+SLIVER = PeriodicWeight.piecewise([0, 1.3, 1.3 + 3e-12, 5.9], [1, 3, 2, 4])
+
+
+@pytest.mark.parametrize("a,b,nodes", [
+    (sine_family(4.0), ABAR, np.array([1.0])),
+    (ABAR, sine_family(4.0), np.array([0.5, 4.0])),
+    (sine_family(4.0), ABAR, np.array([0.0, 4.0])),
+    (sine_family(4.0), ABAR, np.array([0.5, 2.0, 4.0])),
+    (ONE, ONE, None),
+    (ABAR, ABAR, None),
+    (PWC500, PWC500.power(-1.0), None),
+    (sine_family(4.0), ONE, None),
+    (SLIVER, SLIVER.power(-1.0), None),
+], ids=["m1", "m2", "m2-swapped", "m3", "n8", "bar-a", "pwc500", "sine", "sliver"])
+def test_assemble_matches_coo_scatter(a, b, nodes):
+    # bitwise the same canonical CSC arrays; for m = 1 and 2 the element
+    # blocks overlap and the COO path sums the duplicates
+    mesh = Mesh(nodes=nodes) if nodes is not None else build_mesh(
+        a, b, 8 if a is ONE else 2048)
+    for got, ref in zip(assemble(a, b, mesh), _coo_assemble(a, b, mesh)):
+        assert type(got) is type(ref)
+        for name in ("indptr", "indices", "data"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.dtype == r.dtype
+            assert g.tobytes() == r.tobytes()
 
 
 def test_assemble_partition_of_unity():
@@ -273,6 +329,42 @@ def test_transform_invariance(a, b):
 def test_upper_bound_property(a, b):
     res = converge(a, b, [256, 512, 1024])
     assert res.constant <= bound_general(a, b) + 1e-6
+
+
+# float.hex of (constant, lambda1, residual), recorded before the
+# eigensolve ran on the cyclic tridiagonals (COO assembly, scipy's own
+# shifted factorization and operators)
+BEST_CONSTANT_GOLDEN = [
+    (sine_family(4.0), ONE, 512, ("0x1.49454a61e0fe9p+1",
+                                  "0x1.8e115172431b4p-2",
+                                  "0x1.181f21a3fb2a6p-54")),
+    (extremal_weight_pq(4.0, 1.0, 0.0).weight, ONE, 1024, (
+        "0x1.728ae06ae87d0p+1", "0x1.61bae25d38150p-2",
+        "0x1.3c4fa06c6f557p-54")),
+    (ABAR, ABAR.power(-1.0), 8192, ("0x1.8ffffdebbcdedp+2",
+                                    "0x1.47ae162ee8c49p-3",
+                                    "0x1.fd27840c46992p-57")),
+    (PWC500, PWC500.power(-1.0), 2048, ("0x1.8e8238af6c596p+2",
+                                        "0x1.48e800df77fa2p-3",
+                                        "0x1.00bd27524d45bp-54")),
+    (ABAR, ABAR, 32768, ("0x1.6f4b3af38874ap+1", "0x1.64dbd18f38fb8p-2",
+                         "0x1.0e577bfb81ac0p-54")),
+]
+
+
+@pytest.mark.parametrize("a,b,n,golden", BEST_CONSTANT_GOLDEN,
+                         ids=["sine-512", "bar-gamma-1024", "reciprocal-8192",
+                              "pwc500-2048", "bar-a-32768"])
+def test_best_constant_golden_values(a, b, n, golden):
+    res = best_constant(a, b, n)
+    assert (res.constant.hex(), res.lambda1.hex(),
+            float(res.residual).hex()) == golden
+
+
+def test_eigenpair_residual_check_rejects_a_perturbed_vector(
+        perturbed_eigsh):
+    with pytest.raises(SolverError, match="eigenpair residual"):
+        best_constant(ABAR, ABAR, 512)
 
 
 def test_solver_error_type():
