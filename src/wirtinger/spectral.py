@@ -106,35 +106,21 @@ def _element_entries(a, b, mesh):
 def _cyclic_csc(d0, off, d1):
     """Canonical CSC of the sum of the element blocks [[d0, off], [off, d1]].
 
-    For m >= 3 the matrix is cyclic tridiagonal, with d0[j] + d1[j-1] on
-    the diagonal and off[j] at (j, j+1) and (j+1, j), indices mod m: its
-    arrays are written directly.  For m < 3 the blocks overlap, and their
-    entries are summed column by column in element order, as a COO
-    scatter of the blocks would sum them.
+    Element e joins nodes e and e+1 (mod m), so column j holds d0[j] and
+    d1[j-1] at row j and off[j-1], off[j] at rows j-1, j+1.  scipy's
+    `sum_duplicates` sums these four entries in place: for m >= 3 that
+    leaves the cyclic tridiagonal, for m < 3 the overlapping blocks,
+    summed in the order a COO scatter of the blocks sums them.
     """
     m = d0.size
     j = np.arange(m, dtype=np.int32)
-    if m < 3:
-        rows = np.stack((j, j - 1, j + 1, j), axis=1) % m
-        data = np.stack((d0, np.roll(off, 1), off, np.roll(d1, 1)), axis=1)
-        mat = sp.csc_matrix((data.ravel(), rows.ravel(),
-                             np.arange(0, 4 * m + 1, 4, dtype=np.int32)),
-                            shape=(m, m))
-        mat.sum_duplicates()
-        return mat
-    diag = d0 + np.roll(d1, 1)
-    rows = j[:, None] + np.array([-1, 0, 1], dtype=np.int32)
-    data = np.empty((m, 3))
-    data[1:, 0] = off[:-1]
-    data[:, 1] = diag
-    data[:, 2] = off
-    # the first and last columns wrap around; canonical CSC keeps their
-    # entries in increasing row order
-    rows[0], data[0] = (0, 1, m - 1), (diag[0], off[0], off[-1])
-    rows[-1], data[-1] = (0, m - 2, m - 1), (off[-1], off[-2], diag[-1])
-    return sp.csc_matrix((data.ravel(), rows.ravel(),
-                          np.arange(0, 3 * m + 1, 3, dtype=np.int32)),
-                         shape=(m, m))
+    rows = np.stack((j, j - 1, j + 1, j), axis=1) % m
+    data = np.stack((d0, np.roll(off, 1), off, np.roll(d1, 1)), axis=1)
+    mat = sp.csc_matrix((data.ravel(), rows.ravel(),
+                         np.arange(0, 4 * m + 1, 4, dtype=np.int32)),
+                        shape=(m, m))
+    mat.sum_duplicates()
+    return mat
 
 
 def assemble(a, b, mesh):
@@ -150,9 +136,9 @@ def assemble(a, b, mesh):
 class _Operator(spla.LinearOperator):
     """A square operator whose `matvec` is the bare function `fn`.
 
-    eigsh in shift-invert mode calls the `matvec` of M and of OPinv about
-    160 times per solve; this skips the base class's shape checks and the
-    sparse product's dispatch.
+    eigsh in shift-invert mode calls the `matvec` of M and of OPinv on
+    every Lanczos step; this skips LinearOperator's shape checks and
+    wrapper layers.
     """
 
     def __init__(self, fn, m):
@@ -236,8 +222,8 @@ def best_constant(a, b, n=2048):
     first = int(np.argmax(np.abs(u) >= (1.0 - 1e-8) * peak))
     if u[first] < 0:
         u = -u
-    # ||K||_1 is the largest column sum; each column holds three entries
-    stiff_norm = np.abs(stiff.data).reshape(m, 3).sum(axis=1).max()
+    # ||K||_1, the largest column sum (spla.norm takes ~10x as long)
+    stiff_norm = np.add.reduceat(np.abs(stiff.data), stiff.indptr[:-1]).max()
     eig_residual = np.linalg.norm(stiff @ u - lam1 * (mass @ u)) / (
         stiff_norm * np.linalg.norm(u))
     if not eig_residual <= EIG_RESIDUAL_TOL:
