@@ -77,12 +77,21 @@ class BoundReport:
 SHARPNESS_TOL = 5e-3
 
 
+def _squared_ratio(num, den):
+    """(num / den)^2, a ValueError where that is no finite float."""
+    try:
+        return (num / den) ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"bound ({num:g} / {den:g})^2 overflows a float; "
+                         "the weights' contrast is too large") from None
+
+
 def bound_general(a, b):
     """Upper bound on C(a, b) for arbitrary positive periodic weights."""
     num = sqrt_ratio(a, b).mean()
     pb = product(a, b).ess_bounds()
     den = (4.0 / math.pi) * math.atan((pb.inf / pb.sup) ** 0.25)
-    return (num / den) ** 2
+    return _squared_ratio(num, den)
 
 
 def bound_power(pair):
@@ -91,7 +100,7 @@ def bound_power(pair):
         raise ValueError("bound requires p + q >= 0")
     num = pair.gamma.power((pair.p - pair.q) / 2.0).mean()
     den = (4.0 / math.pi) * math.atan(pair.M ** (-(pair.p + pair.q) / 4.0))
-    return (num / den) ** 2
+    return _squared_ratio(num, den)
 
 
 # -- square-wave extremal family -----------------------------------------

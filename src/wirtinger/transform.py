@@ -198,22 +198,17 @@ def h_pq_inv(M, p, q):
     return PiecewiseLinearMap(bp, vals, slopes)
 
 
-def _bar_a_pattern(tau, L):
-    """The two-value square-wave reference weight on [0, 2pi)."""
-    tm = np.mod(tau, TWO_PI)
-    lo = (tm < math.pi / 2) | ((tm >= math.pi) & (tm < 3 * math.pi / 2))
-    return np.where(lo, 1.0, float(L))
-
-
 def _phase_scan(gv, L):
-    """max_i |gv_i - _bar_a_pattern(probes_i + phi_k, L)| at every grid phase.
+    """max_i |gv_i - wave(probes_i + phi_k, L)| at every grid phase phi_k.
 
-    Relies on the lattice of probes and phases: probe i is (2i + 1) d and
-    phase k is k d, d = 2pi/N_PHASES, with N_PHASES = 2 N_PROBES and
-    N_PROBES divisible by 4 (a power of two, for the window doubling
-    below). At phase k probe i then lies in quarter
-    (2i + 1 + k) // (N_PHASES/4), lo when even, and so does the float
-    sum probes_i + phi_k that `_bar_a_pattern` reads, ties included.
+    wave is the square wave, 1 on the quarters [0, pi/2) and
+    [pi, 3pi/2) of the period and L on the other two. Relies on the
+    lattice of probes and phases: probe i is (2i + 1) d and phase k is
+    k d, d = 2pi/N_PHASES, with N_PHASES = 2 N_PROBES and N_PROBES
+    divisible by 4 (a power of two, for the window doubling below). At
+    phase k probe i then lies in quarter (2i + 1 + k) // (N_PHASES/4),
+    lo when even, and so does the float sum probes_i + phi_k, ties
+    included.
     Probes i and i + n/2 are two quarters apart, so each deviation row
     folds to n/2 entries by max; there the lo probes of phase k are the
     cyclic window of n/4 starting at -((k + 1) // 2), and the hi probes
@@ -237,43 +232,19 @@ def functional_eq_residual(g):
 
     Normalizes g to infimum 1 and compares it against the square-wave
     extremal pattern with the matching oscillation L at the N_PROBES odd
-    points of the weights' PROBE_GRID. `_phase_scan` gives the sup-norm
-    mismatch at all N_PHASES grid phases at once; the first phase of
-    least mismatch is refined by golden-section search, unless its
-    mismatch is exactly 0, which no phase can beat. Returns
-    (residual, best_phase).
+    points of the weights' PROBE_GRID. The mismatch at phase phi depends
+    on phi only through the quarter each probe lies in, and a probe
+    (2i + 1) d, d = 2pi/N_PHASES, meets a quarter boundary (a multiple
+    of N_PHASES/4 d) only at an odd multiple of d. So the mismatch is a
+    step function of phi, constant between consecutive odd multiples of
+    d, and the N_PHASES grid phases k d, which hold every step and every
+    boundary point, attain its minimum over all real phi. Returns
+    (residual, best_phase), best_phase the first grid phase of least
+    mismatch (a multiple of 2pi/N_PHASES in [0, 2pi)).
     """
     bounds = g.ess_bounds()
     L = bounds.sup / bounds.inf
-    probes = PROBE_GRID[1::2]
-    gv = np.asarray(g.eval(probes)) / bounds.inf
-
-    def residual(phi):
-        return float(np.max(np.abs(gv - _bar_a_pattern(probes + phi, L))))
-
+    gv = np.asarray(g.eval(PROBE_GRID[1::2])) / bounds.inf
     grid_res = _phase_scan(gv, L)
     k = int(np.argmin(grid_res))
-    best_phi, best_res = k * (TWO_PI / N_PHASES), float(grid_res[k])
-    if best_res == 0.0:
-        return best_res, best_phi
-
-    # golden-section refinement; only pays off for continuous mismatch
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = best_phi - TWO_PI / N_PHASES
-    hi = best_phi + TWO_PI / N_PHASES
-    x1 = hi - gr * (hi - lo)
-    x2 = lo + gr * (hi - lo)
-    f1, f2 = residual(x1), residual(x2)
-    for _ in range(60):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - gr * (hi - lo)
-            f1 = residual(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + gr * (hi - lo)
-            f2 = residual(x2)
-    for x, f in ((x1, f1), (x2, f2)):
-        if f < best_res:
-            best_res, best_phi = f, x
-    return best_res, float(np.mod(best_phi, TWO_PI))
+    return float(grid_res[k]), k * (TWO_PI / N_PHASES)

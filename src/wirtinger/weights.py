@@ -166,14 +166,21 @@ class PeriodicWeight:
 
     # -- algebra ---------------------------------------------------------
 
+    @np.errstate(over="ignore")
     def _map(self, f):
-        """Pointwise f(w) as a new weight, for a monotone f."""
+        """Pointwise f(w) as a new weight, for a monotone f.
+
+        As in `combine`, values that overflow a float are rejected.
+        """
         if self.kind == "piecewise_constant":
             return PeriodicWeight.piecewise(self.breakpoints, f(self.values))
         base = self.evaluator
         bounds = None
         if self.declared_bounds is not None:
-            lo, hi = f(self.declared_bounds[0]), f(self.declared_bounds[1])
+            try:
+                lo, hi = f(self.declared_bounds[0]), f(self.declared_bounds[1])
+            except OverflowError:
+                raise ValueError("weight is not finite") from None
             bounds = (min(lo, hi), max(lo, hi))
         return PeriodicWeight.from_callable(lambda th: f(base(th)),
                                             declared_bounds=bounds)
@@ -258,11 +265,13 @@ def split_panels(breakpoints, panels):
     return np.concatenate(lefts), np.concatenate(rights), np.concatenate(widths)
 
 
+@np.errstate(over="ignore")
 def combine(w1, w2, fn):
     """Pointwise combination fn(w1, w2) as a weight.
 
     Stays piecewise-constant (breakpoints merged) when both inputs are;
-    falls back to a sampled closed form otherwise.
+    falls back to a sampled closed form otherwise.  A combination that
+    overflows a float is a weight the constructor rejects (ValueError).
     """
     if w1.kind == "piecewise_constant" and w2.kind == "piecewise_constant":
         bp = np.union1d(w1.breakpoints, w2.breakpoints)

@@ -122,6 +122,16 @@ def test_parse_error_exit_code(capsys):
     ["sweep", "--M-list", "inf", "--p-list", "1", "--q-list", "0"],
     ["sweep", "--M-list", "4", "--p-list", "nan", "--q-list", "0"],
     ["sweep", "--M-list", "4", "--p-list", "1", "--q-list", "inf"],
+    # a bound (num / den)^2 past the float range, or a ratio, product or
+    # power of finite weights that is not finite
+    ["bound", "--a", "pwc:0=1,3=1e300", "--b", "const:1"],
+    ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "2", "--q", "0"],
+    ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "4", "--q", "4"],
+    ["verify", "--gamma", "pwc:0=1,3=1e200", "--p", "2", "--q", "0",
+     "--n", "64"],
+    ["bound", "--a", "const:1e300", "--b", "const:1e-12"],
+    ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "4", "--q", "0"],
+    ["bound", "--a", "pow:2:sine:1e200", "--b", "const:1"],
 ])
 def test_out_of_domain_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -141,6 +151,16 @@ def test_non_finite_extremal_writes_no_file(argv, tmp_path, monkeypatch,
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("invalid argument:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_row_whose_bound_overflows_is_an_error_cell(capsys):
+    rc = main(["sweep", "--gamma-family", "sine", "--M-list", "1e150,4",
+               "--p-list", "2", "--q-list", "0", "--n", "64"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert [row["M"] for row in rows] == [1e150, 4.0]
+    assert "overflows a float" in rows[0]["error"]
+    assert "error" not in rows[1] and rows[1]["bound"] > rows[1]["computed"]
 
 
 def test_solver_error_exit_code(monkeypatch, capsys):

@@ -448,3 +448,31 @@ def test_reciprocal_closed_form_property(a, n):
     assert computed <= exact * (1 + 1e-9)
     if n == 512:
         assert computed >= exact * (1 - 5e-2)
+
+
+def raised(w, factors):
+    """w times factors >= 1, piece by piece, on w's own breakpoints."""
+    scale = np.resize(factors, w.values.size)
+    return PeriodicWeight.piecewise(w.breakpoints, w.values * scale)
+
+
+raise_factors = st.lists(st.floats(1.0, 4.0), min_size=1, max_size=7)
+
+
+@given(pwc_weights(), pwc_weights(), mesh_sizes, raise_factors)
+@settings(max_examples=25, deadline=None)
+def test_monotone_in_a_property(a, b, n, factors):
+    # lambda_1 = min_w int b w'^2 / min_c int a (w - c)^2, so a <= a'
+    # gives C(a, b) <= C(a', b); a' keeps a's breakpoints, hence the mesh,
+    # and the discrete constants obey it up to solver roundoff
+    assert (best_constant(a, b, n).constant
+            <= best_constant(raised(a, factors), b, n).constant
+            * (1 + 1e-12))
+
+
+@given(pwc_weights(), pwc_weights(), mesh_sizes, raise_factors)
+@settings(max_examples=25, deadline=None)
+def test_monotone_in_b_property(a, b, n, factors):
+    # b <= b' gives C(a, b) >= C(a, b'), on the shared mesh likewise
+    assert (best_constant(a, b, n).constant * (1 + 1e-12)
+            >= best_constant(a, raised(b, factors), n).constant)

@@ -10,9 +10,16 @@ from wirtinger import (PeriodicWeight, build_cov, c_pq, functional_eq_residual,
                        transform, transported_geometric_mean)
 from wirtinger.sharpness import (extremal_fn_ps, extremal_weight_pq,
                                  extremal_weight_ps)
-from wirtinger.transform import N_PHASES, N_PROBES, _bar_a_pattern, _phase_scan
+from wirtinger.transform import N_PHASES, N_PROBES, _phase_scan
 
 TWO_PI = 2 * math.pi
+
+
+def _bar_a_pattern(tau, L):
+    """The two-value square-wave reference weight on [0, 2pi)."""
+    tm = np.mod(tau, TWO_PI)
+    lo = (tm < math.pi / 2) | ((tm >= math.pi) & (tm < 3 * math.pi / 2))
+    return np.where(lo, 1.0, float(L))
 
 
 def test_identity_cov_for_equal_weights():
@@ -288,27 +295,6 @@ def test_phase_scan_matches_dense_at_boundary_ties(k):
     assert np.array_equal(scan, _dense_phase_scan(gv, PROBES, PHASES, 4.0))
 
 
-@pytest.mark.parametrize("a,refined", [
-    (extremal_weight_pq(4.0, 1.0, 0.0).weight, False),
-    (sine_family(4.0), True),
-], ids=["bar-gamma", "sine"])
-def test_functional_eq_residual_refines_only_above_zero(monkeypatch, a,
-                                                         refined):
-    # the golden-section refinement is the only caller of _bar_a_pattern;
-    # a grid residual of exactly 0 cannot be beaten, so it is skipped
-    calls = []
-
-    def spy(tau, L):
-        calls.append(L)
-        return _bar_a_pattern(tau, L)
-
-    monkeypatch.setattr(transform, "_bar_a_pattern", spy)
-    g = transported_geometric_mean(build_cov(a, PeriodicWeight.constant(1.0)))
-    res, _ = functional_eq_residual(g)
-    assert (res > 0.0) == refined
-    assert bool(calls) == refined
-
-
 def _rotated_square_wave():
     return PeriodicWeight.piecewise(0.3 + np.arange(4) * (math.pi / 2),
                                     [1.0, 4.0, 1.0, 4.0])
@@ -452,3 +438,36 @@ def test_functional_eq_residual_matches_dense_property(case):
         assert (_bits(functional_eq_residual(g))
                 == _bits(_dense_functional_eq_residual(g)))
     assert functional_eq_residual(wave)[1] >= math.pi / 8
+
+
+@st.composite
+def _off_lattice_phases(draw):
+    """Phases strictly between grid phases, some a rounding step away."""
+    d = TWO_PI / N_PHASES
+    phis = []
+    for k in draw(st.lists(st.integers(0, N_PHASES - 1), min_size=1,
+                           max_size=8)):
+        t = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+                 .filter(lambda t: t != 0.0))
+        phis += [(k + t) * d, np.nextafter(k * d, -1.0),
+                 np.nextafter(k * d, TWO_PI)]
+    return phis
+
+
+@given(_residual_cases(), st.floats(1.0, 10.0), st.floats(0.0, TWO_PI),
+       _off_lattice_phases())
+@settings(max_examples=25, deadline=None)
+def test_no_phase_off_the_lattice_beats_the_residual(case, M, shift, phis):
+    # the mismatch is a step function of the phase whose steps all hold a
+    # grid phase, so the grid minimum is the minimum over every real phase
+    sampled = PeriodicWeight.from_callable(
+        lambda th: 1.0 + (M - 1.0) * (1.0 + np.sin(th + shift)) / 2.0)
+    for g in (*case, sampled):
+        res, phase = functional_eq_residual(g)
+        k = round(phase / (TWO_PI / N_PHASES))
+        assert 0 <= k < N_PHASES and phase == k * (TWO_PI / N_PHASES)
+        bounds = g.ess_bounds()
+        L = bounds.sup / bounds.inf
+        gv = np.asarray(g.eval(PROBES)) / bounds.inf
+        for phi in phis:
+            assert np.max(np.abs(gv - _bar_a_pattern(PROBES + phi, L))) >= res
