@@ -282,6 +282,8 @@ GOLDEN = [
         "out.json": "c420f9b6bc89d6adf4470a4c9e8092cfe2524c92b844b08f305c749c7d45165a"}),
     (["transform-check", "--a", "sine:4", "--b", "const:1"], {
         "out.json": "173c4f779042a243425c800f9549df9dd8d8e84047a20e457611279f9764b193"}),
+    (["transform-check", "--a", "sine:4", "--b", "pwc:0=1,1=3,2.5=2,4=5"], {
+        "out.json": "1b17d1ce733e07b3a75e89e80a3caf3c5a72828e4e981b36f1a65ad08ddf62dd"}),
     (["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"], {
         "out.json": "d1f23b4b9d2d5345df43bb717948a1c0bb5549a3d679938ccd593359d43b58ae"}),
 ]

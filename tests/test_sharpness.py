@@ -234,6 +234,22 @@ def test_closed_form_pq0_bar_a():
     assert resid <= 1e-8
 
 
+def test_closed_form_pq0_golden_values_off_the_period():
+    # float.hex of the extremizer and its derivative below 0 and past 2pi
+    pwc = PeriodicWeight.piecewise([0.0, 1.0, 2.5, 4.0], [1.0, 3.0, 2.0, 5.0])
+    const, prof = closed_form_pq0(pwc, phase=0.3)
+    theta = np.array([-7.0, -2.5, -0.4, 6.5, 9.0, 13.0])
+    assert const.hex() == "0x1.4181f37f2a764p+3"
+    assert [float(x).hex() for x in prof.fn(theta)] == [
+        "0x1.59435adf7341ep-1", "-0x1.e99e52dcd2f43p-1",
+        "0x1.e4365d90b162ap-1", "0x1.dda599c934a1ap-1",
+        "-0x1.2198254cb40cbp-1", "0x1.cfed72119020dp-1"]
+    assert [float(x).hex() for x in prof.fn_prime(theta)] == [
+        "0x1.2a30802c35caap+0", "-0x1.79e3e02b66587p-3",
+        "0x1.0673e6d14652fp-1", "-0x1.d15d2084d4834p-4",
+        "-0x1.0a6a62c49a9aap-1", "-0x1.1155f17167ca2p-3"]
+
+
 def test_closed_form_pq0_rejects_zero_amplitude():
     with pytest.raises(ValueError):
         closed_form_pq0(ABAR, amplitude=0.0)

@@ -17,6 +17,8 @@ from wirtinger.spectral import _GP, _GW, Mesh, SolverError
 TWO_PI = 2 * math.pi
 ONE = PeriodicWeight.constant(1.0)
 ABAR = extremal_weight_ps(4.0)
+# breakpoints 1 and 4 are off every uniform grid
+PWC_P = PeriodicWeight.piecewise([0.0, 1.0, 2.5, 4.0], [1.0, 3.0, 2.0, 5.0])
 
 # equality value of the equal-weight bound at L = 4
 PS_CONSTANT = ((4 / math.pi) * math.atan(4 ** -0.5)) ** -2
@@ -255,6 +257,25 @@ def test_rayleigh_quotient_extremal_golden_values():
         "0x1.6f4b3b3dcbe10p+1", "0x0.0p+0")
 
 
+# float.hex of rayleigh_quotient(a, b, sin, cos): a sampled weight alone,
+# and paired with a piecewise-constant one whose breakpoints cut the panels
+RAYLEIGH_GOLDEN = [
+    (sine_family(4.0), ONE, ("0x1.4000000000000p+1",
+                             "0x1.e28c731eb6952p-2")),
+    (sine_family(4.0), PWC_P, ("0x1.d7e3c2e94e636p-1",
+                               "0x1.e28c72aeb1bf9p-2")),
+    (PWC_P, sine_family(4.0), ("0x1.736600cf85041p+0",
+                               "0x1.2dc1025a24245p-2")),
+]
+
+
+@pytest.mark.parametrize("a,b,golden", RAYLEIGH_GOLDEN,
+                         ids=["sine-one", "sine-pwc", "pwc-sine"])
+def test_rayleigh_quotient_golden_values(a, b, golden):
+    q, resid = rayleigh_quotient(a, b, np.sin, np.cos)
+    assert (float(q).hex(), float(resid).hex()) == golden
+
+
 def test_rayleigh_quotient_node_samples():
     theta = np.linspace(0, TWO_PI, 512, endpoint=False)
     q, resid = rayleigh_quotient(ONE, ONE, np.cos(theta))
@@ -349,12 +370,15 @@ BEST_CONSTANT_GOLDEN = [
                                         "0x1.00bd27524d45bp-54")),
     (ABAR, ABAR, 32768, ("0x1.6f4b3af38874ap+1", "0x1.64dbd18f38fb8p-2",
                          "0x1.0e577bfb81ac0p-54")),
+    (sine_family(4.0), PWC_P, 1024, ("0x1.4e7318beda844p+0",
+                                     "0x1.87e7522b19167p-1",
+                                     "0x1.6c1346cdef2e5p-56")),
 ]
 
 
 @pytest.mark.parametrize("a,b,n,golden", BEST_CONSTANT_GOLDEN,
                          ids=["sine-512", "bar-gamma-1024", "reciprocal-8192",
-                              "pwc500-2048", "bar-a-32768"])
+                              "pwc500-2048", "bar-a-32768", "sine-pwc-1024"])
 def test_best_constant_golden_values(a, b, n, golden):
     res = best_constant(a, b, n)
     assert (res.constant.hex(), res.lambda1.hex(),
