@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 import time
 
@@ -311,12 +310,6 @@ def _int_list(text):
 
 
 def build_parser():
-    env_n = os.environ.get("WIRTINGER_DEFAULT_N", "2048")
-    try:
-        default_n = int(env_n)
-    except ValueError:
-        raise ValueError("WIRTINGER_DEFAULT_N must be an integer, "
-                         f"got {env_n!r}") from None
     parser = argparse.ArgumentParser(
         prog="wirtinger",
         description="Best constants in weighted Wirtinger inequalities: "
@@ -339,7 +332,7 @@ def build_parser():
     p_solve = sub.add_parser("solve", parents=[common], help="spectral best constant")
     p_solve.add_argument("--a", required=True)
     p_solve.add_argument("--b", required=True)
-    p_solve.add_argument("--n", type=int, default=default_n)
+    p_solve.add_argument("--n", type=int, default=2048)
     p_solve.add_argument("--n-list", type=_int_list, default=None)
 
     p_ext = sub.add_parser("extremal", parents=[common], help="dump an extremal profile")
@@ -356,7 +349,7 @@ def build_parser():
     p_ver.add_argument("--gamma", required=True)
     p_ver.add_argument("--p", type=float, required=True)
     p_ver.add_argument("--q", type=float, required=True)
-    p_ver.add_argument("--n", type=int, default=default_n)
+    p_ver.add_argument("--n", type=int, default=2048)
     p_ver.add_argument("--mu-mode", default="continuity_corrected",
                        choices=["continuity_corrected", "paper_literal"])
 
@@ -367,7 +360,7 @@ def build_parser():
     p_sweep.add_argument("--L-list", type=_float_list, default=None)
     p_sweep.add_argument("--gamma-family", choices=["bar", "sine"],
                          default="bar")
-    p_sweep.add_argument("--n", type=int, default=default_n)
+    p_sweep.add_argument("--n", type=int, default=2048)
 
     p_tc = sub.add_parser("transform-check", parents=[common],
                           help="substitution identities and map round trips")

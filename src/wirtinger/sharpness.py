@@ -58,7 +58,6 @@ class ExtremalProfile:
     fn: object                 # callable theta -> value, or None
     fn_prime: object           # callable theta -> derivative, or None
     constants: dict
-    phase: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -196,29 +195,25 @@ def extremal_fn_pq(M, p, q, mu_mode="continuity_corrected"):
                                       "mu": mu, "mu_mode": mu_mode})
 
 
-def closed_form_pq0(a, amplitude=1.0, phase=0.0):
+def closed_form_pq0(a, phase=0.0):
     """Exact constant and extremizer for the reciprocal pair (a, 1/a).
 
     The constant is (mean a)^2 and the extremizer is a cosine of the
-    rescaled antiderivative of a.
+    rescaled antiderivative of a, shifted by `phase`.
     """
-    if amplitude == 0.0:
-        raise ValueError("extremizer amplitude must be nonzero")
     mean_a = a.mean()
     constant = mean_a ** 2
 
     def fn(theta):
-        return amplitude * np.cos(
-            np.asarray(a.antiderivative(theta)) / mean_a + phase)
+        return np.cos(np.asarray(a.antiderivative(theta)) / mean_a + phase)
 
     def fn_prime(theta):
         th = np.asarray(theta, dtype=float)
-        return (-amplitude * np.asarray(a.eval(th)) / mean_a
+        return (-np.asarray(a.eval(th)) / mean_a
                 * np.sin(np.asarray(a.antiderivative(th)) / mean_a + phase))
 
     profile = ExtremalProfile(weight=a, fn=fn, fn_prime=fn_prime,
-                              constants={"constant": constant},
-                              phase=phase)
+                              constants={"constant": constant})
     return constant, profile
 
 

@@ -58,11 +58,9 @@ def build_mesh(a, b, n):
         raise ValueError("mesh requires n >= 8")
     base = np.linspace(0.0, TWO_PI, n, endpoint=False)
     tol = 1e-9 * (TWO_PI / n)
-    bps = [w.breakpoints for w in (a, b)
-           if w.kind == "piecewise_constant"]
-    if not bps:
+    bp = np.union1d(a.breakpoints, b.breakpoints)
+    if bp.size == 0:
         return Mesh(nodes=base)
-    bp = np.unique(np.concatenate(bps))
     # keep breakpoints verbatim, drop uniform nodes that (circularly)
     # collide; only a node's circular neighbours among the sorted
     # breakpoints can (bp[0] == 0, and bp[-1] wraps around)
@@ -154,6 +152,16 @@ class _Operator(spla.LinearOperator):
 EIG_RESIDUAL_TOL = 1e-10
 
 
+#: best_constant raises SolverError, before any factorization, when
+#: ess sup a / min(1, ess inf b) exceeds this, about the square root of
+#: the largest float.  Measured with constant weights at n = 8, 64 and
+#: 4096: a = 1e154 solves with b = 1 and 1e155 fails, a = 1e142 solves
+#: with b = 1e-12 and 1e143 fails (for b > 1 the failures start later,
+#: near a = 3e154 sqrt(b)).  Past it ARPACK's Lanczos norms overflow and
+#: LAPACK's DLASCL may print its own diagnostics before the solve fails.
+SCALE_LIMIT = 1e154
+
+
 def _deflate(v, ones_mass, ones_mass_norm):
     return v - np.ones(v.size) * (ones_mass @ v) / ones_mass_norm
 
@@ -169,7 +177,13 @@ def best_constant(a, b, n=2048):
     loses to cancellation in K: on the reciprocal pair with a 3e-12
     piece the residual is ~5e-18 while lambda_1 is off by 1.8e-5 at
     n = 4096 (the gradient-form quotient of ROADMAP.md is the remedy).
+    Weights past SCALE_LIMIT raise SolverError before the eigensolve.
     """
+    scale = a.ess_bounds().sup / min(1.0, b.ess_bounds().inf)
+    if scale > SCALE_LIMIT:
+        raise SolverError(f"ess sup a / min(1, ess inf b) = {scale:.3g} "
+                          f"exceeds {SCALE_LIMIT:g}; the eigensolve would "
+                          "overflow")
     mesh = build_mesh(a, b, n)
     stiff, mass = assemble(a, b, mesh)
     m = mesh.n
@@ -235,27 +249,14 @@ def best_constant(a, b, n=2048):
                           residual=residual)
 
 
-def rayleigh_quotient(a, b, w, wprime=None):
+def rayleigh_quotient(a, b, w, wprime):
     """Quotient int a w^2 / int b w'^2 plus the constraint residual.
 
-    `w` is a callable, which needs its analytic derivative `wprime`, or
-    an array of node samples on a uniform periodic grid.
+    `w` and its analytic derivative `wprime` are vectorized callables,
+    integrated by 4-point Gauss on PANELS panels that never straddle a
+    breakpoint of a or b.
     """
-    if not callable(w):
-        u = np.asarray(w, dtype=float)
-        mesh = Mesh(nodes=np.linspace(0.0, TWO_PI, u.size, endpoint=False))
-        stiff, mass = assemble(a, b, mesh)
-        den = float(u @ (stiff @ u))
-        if den <= 1e-14 * float(u @ (mass @ u)):
-            raise ValueError("input is constant: zero derivative")
-        e = np.ones(u.size)
-        residual = abs(e @ (mass @ u)) / float(e @ (mass @ np.abs(u)))
-        return float(u @ (mass @ u)) / den, residual
-
-    if wprime is None:
-        raise ValueError("a callable w needs its derivative wprime")
-    bps = [wt.breakpoints for wt in (a, b) if wt.kind == "piecewise_constant"]
-    lefts, _, widths = split_panels(bps, PANELS)
+    lefts, _, widths = split_panels([a.breakpoints, b.breakpoints], PANELS)
     pts = (lefts[:, None] + widths[:, None] * _GP[None, :]).ravel()
     gw = (widths[:, None] * _GW[None, :]).ravel()
     av = np.asarray(a.eval(pts))

@@ -116,17 +116,22 @@ def transported_geometric_mean(cov):
         g, declared_bounds=(math.sqrt(gb.inf), math.sqrt(gb.sup)))
 
 
-def substitution_check(cov, w, wprime, panels=4096):
+#: midpoint panels per period on each side of the substitution identities
+SUBSTITUTION_PANELS = 4096
+
+
+def substitution_check(cov, w, wprime):
     """Relative residuals of the three substitution identities.
 
     Checks int a w^2 dtheta = c int g xi^2 dtau, the same for the first
     moment, and int b w'^2 dtheta = (1/c) int g xi'^2 dtau, with
     xi(tau) = w(theta(tau)) and g the transported geometric mean.  Both
-    sides are computed by breakpoint-aligned midpoint quadrature.
+    sides are computed by breakpoint-aligned midpoint quadrature with
+    SUBSTITUTION_PANELS panels per period.
     """
     a, b, c = cov.a, cov.b, cov.c
-    bps = [wt.breakpoints for wt in (a, b) if wt.kind == "piecewise_constant"]
-    lo, hi, dth = split_panels(bps, panels)
+    bps = [a.breakpoints, b.breakpoints]
+    lo, hi, dth = split_panels(bps, SUBSTITUTION_PANELS)
     th = 0.5 * (lo + hi)
     av, bv = a.eval(th), b.eval(th)
     wv = np.asarray(w(th), dtype=float)
@@ -136,7 +141,8 @@ def substitution_check(cov, w, wprime, panels=4096):
                     np.sum(bv * wpv**2 * dth)])
     scales = np.array([lhs[0], np.sum(av * np.abs(wv) * dth), lhs[2]])
 
-    lo, hi, dtau = split_panels([cov.forward(bp) for bp in bps], panels)
+    lo, hi, dtau = split_panels([cov.forward(bp) for bp in bps],
+                                SUBSTITUTION_PANELS)
     tau = 0.5 * (lo + hi)
     th_of_tau = cov.inverse(tau)
     g = np.sqrt(np.asarray(a.eval(th_of_tau)) * np.asarray(b.eval(th_of_tau)))

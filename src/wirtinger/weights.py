@@ -30,6 +30,10 @@ PANELS = 2048
 #: edges of the closed-form quadrature panels, shared by every weight
 _GRID_EDGES = np.linspace(0.0, TWO_PI, PANELS + 1)
 
+#: the breakpoints of every sampled weight
+_NO_BREAKPOINTS = np.empty(0)
+_NO_BREAKPOINTS.setflags(write=False)
+
 
 def match_scalar(theta, out):
     """`out` as a float when the angle argument `theta` is a scalar."""
@@ -54,9 +58,10 @@ class PeriodicWeight:
     the left-closed / right-open interval convention.
 
     Breakpoints, values and declared bounds must be finite, and values
-    at least POSITIVITY_FLOOR.  A sampled closed form is evaluated once
-    on PROBE_GRID at construction; those samples must be finite and at
-    least POSITIVITY_FLOOR, and their extremes are its probed bounds.
+    at least POSITIVITY_FLOOR.  A sampled closed form has no breakpoints
+    (an empty read-only array) and is evaluated once on PROBE_GRID at
+    construction; those samples must be finite and at least
+    POSITIVITY_FLOOR, and their extremes are its probed bounds.
     """
 
     __slots__ = ("kind", "breakpoints", "values", "evaluator",
@@ -103,7 +108,7 @@ class PeriodicWeight:
         else:
             if evaluator is None:
                 raise ValueError("sampled_closed_form requires an evaluator")
-            self.breakpoints = None
+            self.breakpoints = _NO_BREAKPOINTS
             self.values = None
             self.evaluator = evaluator
             self._cells = None
@@ -167,13 +172,15 @@ class PeriodicWeight:
     # -- algebra ---------------------------------------------------------
 
     @np.errstate(over="ignore")
-    def _map(self, f):
+    def _map(self, f, name):
         """Pointwise f(w) as a new weight, for a monotone f.
 
-        As in `combine`, values that overflow a float are rejected.
+        As in `combine`, values that overflow a float are rejected; for a
+        piecewise-constant weight the message calls the result the `name`
+        weight.
         """
         if self.kind == "piecewise_constant":
-            return PeriodicWeight.piecewise(self.breakpoints, f(self.values))
+            return _derived(self.breakpoints, f(self.values), name)
         base = self.evaluator
         bounds = None
         if self.declared_bounds is not None:
@@ -188,12 +195,12 @@ class PeriodicWeight:
     def power(self, r):
         """Pointwise power w(theta)**r as a new weight."""
         r = float(r)
-        return self._map(lambda x: x ** r)
+        return self._map(lambda x: x ** r, "powered")
 
     def scale(self, s):
         """Pointwise multiple s*w."""
         s = float(s)
-        return self._map(lambda x: s * x)
+        return self._map(lambda x: s * x, "scaled")
 
     # -- quadrature -------------------------------------------------------
 
@@ -265,19 +272,33 @@ def split_panels(breakpoints, panels):
     return np.concatenate(lefts), np.concatenate(rights), np.concatenate(widths)
 
 
+def _derived(breakpoints, values, name):
+    """The piecewise-constant weight of values computed from finite weights.
+
+    A value that overflowed a float or fell below POSITIVITY_FLOOR is the
+    computation's fault, not the inputs', and the ValueError says so.
+    """
+    if np.any(np.isinf(values)):
+        raise ValueError(f"{name} weight overflows a float")
+    if np.min(values) < POSITIVITY_FLOOR:
+        raise ValueError(f"{name} weight falls below {POSITIVITY_FLOOR:g}")
+    return PeriodicWeight.piecewise(breakpoints, values)
+
+
 @np.errstate(over="ignore")
 def combine(w1, w2, fn):
     """Pointwise combination fn(w1, w2) as a weight.
 
     Stays piecewise-constant (breakpoints merged) when both inputs are;
     falls back to a sampled closed form otherwise.  A combination that
-    overflows a float is a weight the constructor rejects (ValueError).
+    overflows a float or falls below POSITIVITY_FLOOR is rejected
+    (ValueError).
     """
     if w1.kind == "piecewise_constant" and w2.kind == "piecewise_constant":
         bp = np.union1d(w1.breakpoints, w2.breakpoints)
         v1 = w1.eval(bp)
         v2 = w2.eval(bp)
-        return PeriodicWeight.piecewise(bp, fn(v1, v2))
+        return _derived(bp, fn(v1, v2), "combined")
     return PeriodicWeight.from_callable(
         lambda th: fn(np.asarray(w1.eval(th)), np.asarray(w2.eval(th))))
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from wirtinger import PeriodicWeight
-from wirtinger.cli import (WeightParseError, build_parser, main, parse_angle,
-                           parse_weight)
+from wirtinger.cli import WeightParseError, main, parse_angle, parse_weight
 from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
 from wirtinger.spectral import SolverError
 
@@ -163,6 +162,36 @@ def test_sweep_row_whose_bound_overflows_is_an_error_cell(capsys):
     assert "error" not in rows[1] and rows[1]["bound"] > rows[1]["computed"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--a", "const:1e300", "--b", "const:1e-12"],
+     "combined weight overflows a float"),
+    (["bound", "--a", "const:1e300", "--b", "const:1e300"],
+     "combined weight overflows a float"),
+    (["bound", "--a", "pow:2:const:1e200", "--b", "const:1"],
+     "powered weight overflows a float"),
+    (["bound", "--a", "const:1e-12", "--b", "const:1e300"],
+     "combined weight falls below 1e-12"),
+])
+def test_derived_weight_error_names_the_computation(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invalid argument: {message}"]
+
+
+@pytest.mark.parametrize("a,b", [("const:1e300", "const:1e-12"),
+                                 ("const:1e200", "const:1")])
+def test_weights_past_the_scale_limit_fail_before_the_eigensolve(a, b, capfd):
+    # LAPACK writes its diagnostics through the file descriptors, which
+    # capsys does not see
+    assert main(["solve", "--a", a, "--b", b, "--n", "64"]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("solver error: ess sup a / min(1, ess inf b) = ")
+    assert line.endswith("exceeds 1e+154; the eigensolve would overflow")
+
+
 def test_solver_error_exit_code(monkeypatch, capsys):
     from wirtinger import spectral
 
@@ -246,22 +275,6 @@ def test_transform_check_command(capsys):
     assert res["c"] == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert max(res["substitution_residuals"]) <= 1e-6
     assert res["h_pq_worst_error"] <= 1e-10
-
-
-def test_default_n_from_environment(monkeypatch):
-    monkeypatch.setenv("WIRTINGER_DEFAULT_N", "333")
-    parser = build_parser()
-    args = parser.parse_args(["solve", "--a", "const:1", "--b", "const:1"])
-    assert args.n == 333
-
-
-def test_default_n_not_an_integer_exit_code(monkeypatch, capsys):
-    monkeypatch.setenv("WIRTINGER_DEFAULT_N", "abc")
-    assert main(["bound", "--a", "const:1", "--b", "const:1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "invalid argument: WIRTINGER_DEFAULT_N must be an integer, got 'abc'"]
 
 
 # sha256 of every file each command writes; the extremal reports embed

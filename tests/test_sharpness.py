@@ -219,7 +219,7 @@ def test_equality_attainment():
 
 
 def test_closed_form_pq0_classical():
-    const, prof = closed_form_pq0(ONE, amplitude=1.0, phase=0.3)
+    const, prof = closed_form_pq0(ONE, phase=0.3)
     assert const == pytest.approx(1.0, rel=1e-14)
     probes = np.linspace(0, TWO_PI, 33)
     assert np.allclose(prof.fn(probes), np.cos(probes + 0.3), atol=1e-12)
@@ -248,11 +248,6 @@ def test_closed_form_pq0_golden_values_off_the_period():
         "0x1.2a30802c35caap+0", "-0x1.79e3e02b66587p-3",
         "0x1.0673e6d14652fp-1", "-0x1.d15d2084d4834p-4",
         "-0x1.0a6a62c49a9aap-1", "-0x1.1155f17167ca2p-3"]
-
-
-def test_closed_form_pq0_rejects_zero_amplitude():
-    with pytest.raises(ValueError):
-        closed_form_pq0(ABAR, amplitude=0.0)
 
 
 # -- verification -----------------------------------------------------------

@@ -276,21 +276,9 @@ def test_rayleigh_quotient_golden_values(a, b, golden):
     assert (float(q).hex(), float(resid).hex()) == golden
 
 
-def test_rayleigh_quotient_node_samples():
-    theta = np.linspace(0, TWO_PI, 512, endpoint=False)
-    q, resid = rayleigh_quotient(ONE, ONE, np.cos(theta))
-    assert q == pytest.approx(1.0, rel=1e-3)
-    assert resid <= 1e-10
-
-
 def test_rayleigh_quotient_requires_wprime_for_callable():
-    with pytest.raises(ValueError, match="wprime"):
+    with pytest.raises(TypeError, match="wprime"):
         rayleigh_quotient(ONE, ONE, np.cos)
-
-
-def test_rayleigh_quotient_rejects_constant():
-    with pytest.raises(ValueError):
-        rayleigh_quotient(ONE, ONE, np.ones(64))
 
 
 def test_converge_classical():

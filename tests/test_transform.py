@@ -156,11 +156,13 @@ def test_substitution_gamma_bar_sine():
     assert max(res) <= 1e-6
 
 
-def test_substitution_second_order_in_panels():
+def test_substitution_second_order_in_panels(monkeypatch):
     gam = extremal_weight_pq(4.0, 1.0, 0.0).weight
     cov = build_cov(gam, PeriodicWeight.constant(1.0))
-    coarse = substitution_check(cov, np.sin, np.cos, panels=512)
-    fine = substitution_check(cov, np.sin, np.cos, panels=1024)
+    monkeypatch.setattr(transform, "SUBSTITUTION_PANELS", 512)
+    coarse = substitution_check(cov, np.sin, np.cos)
+    monkeypatch.setattr(transform, "SUBSTITUTION_PANELS", 1024)
+    fine = substitution_check(cov, np.sin, np.cos)
     # first and third identities carry quadrature error; halving the panel
     # width should shrink them at roughly second order
     for c, f in ((coarse[0], fine[0]), (coarse[2], fine[2])):

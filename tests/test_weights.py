@@ -202,3 +202,10 @@ def test_sampled_product_golden_values():
 def test_non_finite_weight_is_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+def test_sampled_weight_has_no_breakpoints():
+    bp = sine_family(4.0).breakpoints
+    assert bp.shape == (0,) and bp.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        bp[...] = 1.0
