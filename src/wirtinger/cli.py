@@ -257,7 +257,7 @@ def _cmd_sweep(args):
             else:
                 gamma = sharpness.extremal_weight_pq(M, p, q).weight
             _sweep_row(row, gamma, p, q, args.n)
-        except ValueError as exc:
+        except (ValueError, SolverError) as exc:
             row["error"] = str(exc)
         rows.append(row)
     return {"rows": rows}

@@ -3,16 +3,19 @@
 Discretizes -(b w')' = lambda a w with piecewise-linear elements on a
 periodic mesh aligned with the weight breakpoints; the best constant is
 1/lambda_1 on the a-orthogonal complement of constants.
+
+scipy's sparse matrices and ARPACK load on the first `assemble` or
+`best_constant` call, so importing this module (and the closed forms
+and the transform that import it) costs numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .weights import PANELS, TWO_PI, PeriodicWeight, split_panels
 
@@ -110,6 +113,7 @@ def _cyclic_csc(d0, off, d1):
     leaves the cyclic tridiagonal, for m < 3 the overlapping blocks,
     summed in the order a COO scatter of the blocks sums them.
     """
+    import scipy.sparse as sp
     m = d0.size
     j = np.arange(m, dtype=np.int32)
     rows = np.stack((j, j - 1, j + 1, j), axis=1) % m
@@ -131,20 +135,30 @@ def assemble(a, b, mesh):
     return _cyclic_csc(kdiag, -kdiag, kdiag), _cyclic_csc(m00, m01, m11)
 
 
-class _Operator(spla.LinearOperator):
-    """A square operator whose `matvec` is the bare function `fn`.
+@functools.cache
+def _operator_class():
+    """LinearOperator subclass whose `matvec` is a bare function.
 
-    eigsh in shift-invert mode calls the `matvec` of M and of OPinv on
-    every Lanczos step; this skips LinearOperator's shape checks and
-    wrapper layers.
+    Built on first use, so that scipy loads with the first solve.
     """
+    import scipy.sparse.linalg as spla
 
-    def __init__(self, fn, m):
-        super().__init__(np.float64, (m, m))
-        self.matvec = fn
+    class _Operator(spla.LinearOperator):
+        """A square operator whose `matvec` is the bare function `fn`.
 
-    def _matvec(self, x):  # LinearOperator subclasses must define one
-        return self.matvec(x)
+        eigsh in shift-invert mode calls the `matvec` of M and of OPinv
+        on every Lanczos step; this skips LinearOperator's shape checks
+        and wrapper layers.
+        """
+
+        def __init__(self, fn, m):
+            super().__init__(np.float64, (m, m))
+            self.matvec = fn
+
+        def _matvec(self, x):  # LinearOperator subclasses must define one
+            return self.matvec(x)
+
+    return _Operator
 
 
 #: largest eigenpair residual ||K u - lambda M u|| / (||K||_1 ||u||)
@@ -153,12 +167,18 @@ EIG_RESIDUAL_TOL = 1e-10
 
 
 #: best_constant raises SolverError, before any factorization, when
-#: ess sup a / min(1, ess inf b) exceeds this, about the square root of
-#: the largest float.  Measured with constant weights at n = 8, 64 and
-#: 4096: a = 1e154 solves with b = 1 and 1e155 fails, a = 1e142 solves
-#: with b = 1e-12 and 1e143 fails (for b > 1 the failures start later,
-#: near a = 3e154 sqrt(b)).  Past it ARPACK's Lanczos norms overflow and
-#: LAPACK's DLASCL may print its own diagnostics before the solve fails.
+#: ess sup a / min(1, ess inf b) or ess sup b / min(1, ess inf a)
+#: exceeds this, about the square root of the largest float.  Measured
+#: with constant weights at n = 8, 64 and 4096: a = 1e154 solves with
+#: b = 1 and 1e155 fails, a = 1e142 solves with b = 1e-12 and 1e143
+#: fails (for b > 1 the failures start later, near a = 3e154 sqrt(b)).
+#: The other way round, b = 1e156.75 solves with a = 1 and the failures
+#: start between b = 1e157 (n = 64) and 1e157.75 (n = 4096), in
+#: quarter-decade steps; with a = 1e-12 the eigenpair residual check
+#: already fails from about b = 3e137.  Past it ARPACK's Lanczos norms
+#: overflow, ARPACK may report a zero start vector, and LAPACK's DLASCL
+#: or numpy's overflow warnings may print their own diagnostics before
+#: the solve fails.
 SCALE_LIMIT = 1e154
 
 
@@ -177,13 +197,19 @@ def best_constant(a, b, n=2048):
     loses to cancellation in K: on the reciprocal pair with a 3e-12
     piece the residual is ~5e-18 while lambda_1 is off by 1.8e-5 at
     n = 4096 (the gradient-form quotient of ROADMAP.md is the remedy).
-    Weights past SCALE_LIMIT raise SolverError before the eigensolve.
+    Weights past SCALE_LIMIT raise SolverError before the eigensolve,
+    and before scipy is imported.
     """
-    scale = a.ess_bounds().sup / min(1.0, b.ess_bounds().inf)
-    if scale > SCALE_LIMIT:
-        raise SolverError(f"ess sup a / min(1, ess inf b) = {scale:.3g} "
-                          f"exceeds {SCALE_LIMIT:g}; the eigensolve would "
-                          "overflow")
+    ea, eb = a.ess_bounds(), b.ess_bounds()
+    for ratio, scale in (("a / min(1, ess inf b)", ea.sup / min(1.0, eb.inf)),
+                         ("b / min(1, ess inf a)", eb.sup / min(1.0, ea.inf))):
+        if scale > SCALE_LIMIT:
+            raise SolverError(f"ess sup {ratio} = {scale:.3g} exceeds "
+                              f"{SCALE_LIMIT:g}; the eigensolve would "
+                              "overflow")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    operator_cls = _operator_class()
     mesh = build_mesh(a, b, n)
     stiff, mass = assemble(a, b, mesh)
     m = mesh.n
@@ -212,10 +238,11 @@ def best_constant(a, b, n=2048):
         # fixed start vector keeps repeated solves bit-reproducible; in
         # this mode eigsh reads only the shape and dtype of its first
         # argument
-        vals, vecs = spla.eigsh(stiff, k=k, M=_Operator(mass.__matmul__, m),
+        vals, vecs = spla.eigsh(stiff, k=k,
+                                M=operator_cls(mass.__matmul__, m),
                                 sigma=sigma, which="LM",
                                 v0=v / np.linalg.norm(v),
-                                OPinv=_Operator(lu.solve, m))
+                                OPinv=operator_cls(lu.solve, m))
     except Exception as exc:  # ARPACK / factorization failure
         raise SolverError(f"generalized eigensolve failed: {exc}") from exc
     order = np.argsort(vals)

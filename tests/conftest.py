@@ -36,13 +36,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def perturbed_eigsh(monkeypatch):
-    """Make every eigsh call return eigenvectors perturbed by ~1e-3."""
-    from wirtinger import spectral
-    eigsh = spectral.spla.eigsh
+    """Make every eigsh call return eigenvectors perturbed by ~1e-3.
+
+    `best_constant` looks eigsh up in scipy.sparse.linalg at call time.
+    """
+    import scipy.sparse.linalg as spla
+    eigsh = spla.eigsh
 
     def perturbed(*args, **kwargs):
         vals, vecs = eigsh(*args, **kwargs)
         return vals, vecs + 1e-3 * np.cos(np.arange(vecs.size)).reshape(
             vecs.shape)
 
-    monkeypatch.setattr(spectral.spla, "eigsh", perturbed)
+    monkeypatch.setattr(spla, "eigsh", perturbed)

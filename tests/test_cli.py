@@ -192,6 +192,31 @@ def test_weights_past_the_scale_limit_fail_before_the_eigensolve(a, b, capfd):
     assert line.endswith("exceeds 1e+154; the eigensolve would overflow")
 
 
+@pytest.mark.parametrize("a,b", [("const:1", "const:1e200"),
+                                 ("const:1e100", "const:1e200")])
+def test_large_b_past_the_scale_limit_fails_before_the_eigensolve(a, b, capfd):
+    # unguarded, the first fails in ARPACK (zero start vector) and the
+    # second prints numpy's overflow warning before a residual failure
+    assert main(["solve", "--a", a, "--b", b, "--n", "64"]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "solver error: ess sup b / min(1, ess inf a) = 1e+200 exceeds "
+        "1e+154; the eigensolve would overflow"]
+
+
+def test_sweep_row_whose_solve_fails_is_an_error_cell(capsys):
+    argv = ["sweep", "--gamma-family", "sine", "--p-list", "1",
+            "--q-list", "0", "--n", "64"]
+    assert main(argv + ["--M-list", "1e160,4"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert main(argv + ["--M-list", "4"]) == 0
+    alone = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert [row["M"] for row in rows] == [1e160, 4.0]
+    assert rows[0]["error"].startswith("ess sup a / min(1, ess inf b) = ")
+    assert rows[1:] == alone
+
+
 def test_solver_error_exit_code(monkeypatch, capsys):
     from wirtinger import spectral
 
@@ -363,3 +388,69 @@ def test_benchmark_reference_bytes(name, tmp_path, monkeypatch, capsys):
                for p in sorted(tmp_path.iterdir())}
     assert capsys.readouterr().out == REFERENCE[name]["stdout"]
     assert written == REFERENCE[name]["files"]
+
+
+# the closed forms, the extremal profiles and the transform need numpy
+# only; scipy loads with the first solve
+NO_SCIPY_ARGVS = [
+    ["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
+    ["extremal", "--family", "pq", "--M", "4", "--p", "1", "--q", "0",
+     "--samples", "64", "--out", "e.json"],
+    ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
+     "--count", "2", "--seed", "1"],
+]
+
+_NO_SCIPY_RUN = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from wirtinger import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    runs.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def _cold_python(code, *args, cwd):
+    """Stdout of a fresh interpreter that imports this checkout's package."""
+    import os
+    import subprocess
+    import sys
+
+    import wirtinger
+    src = str(Path(wirtinger.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_scipy(tmp_path):
+    code = ("import sys, wirtinger, wirtinger.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert _cold_python(code, cwd=tmp_path) == "[]\n"
+
+
+def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
+                                               capsys):
+    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
+    cold_dir.mkdir()
+    warm_dir.mkdir()
+    # a solve past SCALE_LIMIT is rejected before scipy would load
+    too_large = ["solve", "--a", "const:1", "--b", "const:1e200", "--n", "64"]
+    argvs = NO_SCIPY_ARGVS + [too_large]
+    cold = json.loads(_cold_python(_NO_SCIPY_RUN, json.dumps(argvs),
+                                   cwd=cold_dir))
+    monkeypatch.chdir(warm_dir)
+    for argv, (rc, out, err) in zip(argvs, cold):
+        expected = 3 if argv is too_large else 0
+        assert rc == expected, (argv, err)
+        assert main(argv) == expected
+        assert out == capsys.readouterr().out
+    assert err.startswith("solver error: ess sup b / min(1, ess inf a)")
+    for name in ("e.json", "e.json.fn.csv"):
+        assert (cold_dir / name).read_bytes() == (warm_dir / name).read_bytes()
