@@ -5,8 +5,8 @@ periodic mesh aligned with the weight breakpoints; the best constant is
 1/lambda_1 on the a-orthogonal complement of constants.
 
 scipy's sparse matrices and ARPACK load on the first `assemble` or
-`best_constant` call, so importing this module (and the closed forms
-and the transform that import it) costs numpy only.
+`best_constant` call, so importing this module, and `wirtinger` with
+it, loads numpy only.
 """
 
 from __future__ import annotations
@@ -175,10 +175,9 @@ EIG_RESIDUAL_TOL = 1e-10
 #: The other way round, b = 1e156.75 solves with a = 1 and the failures
 #: start between b = 1e157 (n = 64) and 1e157.75 (n = 4096), in
 #: quarter-decade steps; with a = 1e-12 the eigenpair residual check
-#: already fails from about b = 3e137.  Past it ARPACK's Lanczos norms
-#: overflow, ARPACK may report a zero start vector, and LAPACK's DLASCL
-#: or numpy's overflow warnings may print their own diagnostics before
-#: the solve fails.
+#: fails in some runs from about b = 3e137 on.  Past the limit ARPACK's
+#: Lanczos norms overflow, and LAPACK's DLASCL or numpy may print their
+#: own diagnostics before the solve fails.
 SCALE_LIMIT = 1e154
 
 

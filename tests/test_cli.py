@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wirtinger
 from wirtinger import PeriodicWeight
 from wirtinger.cli import WeightParseError, main, parse_angle, parse_weight
 from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
@@ -390,16 +394,7 @@ def test_benchmark_reference_bytes(name, tmp_path, monkeypatch, capsys):
     assert written == REFERENCE[name]["files"]
 
 
-# the closed forms, the extremal profiles and the transform need numpy
-# only; scipy loads with the first solve
-NO_SCIPY_ARGVS = [
-    ["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
-    ["extremal", "--family", "pq", "--M", "4", "--p", "1", "--q", "0",
-     "--samples", "64", "--out", "e.json"],
-    ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
-     "--count", "2", "--seed", "1"],
-]
-
+# runs each argv of sys.argv[1] through cli.main with scipy unimportable
 _NO_SCIPY_RUN = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
@@ -416,11 +411,6 @@ print(json.dumps(runs))
 
 def _cold_python(code, *args, cwd):
     """Stdout of a fresh interpreter that imports this checkout's package."""
-    import os
-    import subprocess
-    import sys
-
-    import wirtinger
     src = str(Path(wirtinger.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src),
@@ -440,9 +430,16 @@ def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
     cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
     cold_dir.mkdir()
     warm_dir.mkdir()
-    # a solve past SCALE_LIMIT is rejected before scipy would load
+    # the closed forms, the extremal profiles and the transform need
+    # numpy only, and a solve past SCALE_LIMIT is rejected before scipy
+    # would load
     too_large = ["solve", "--a", "const:1", "--b", "const:1e200", "--n", "64"]
-    argvs = NO_SCIPY_ARGVS + [too_large]
+    argvs = [["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
+             ["extremal", "--family", "pq", "--M", "4", "--p", "1",
+              "--q", "0", "--samples", "64", "--out", "e.json"],
+             ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
+              "--count", "2", "--seed", "1"],
+             too_large]
     cold = json.loads(_cold_python(_NO_SCIPY_RUN, json.dumps(argvs),
                                    cwd=cold_dir))
     monkeypatch.chdir(warm_dir)
