@@ -214,17 +214,22 @@ def _cmd_extremal(args):
             "samples": args.samples, "csv": csv_path}
 
 
+def _verify_row(gamma, p, q, n):
+    """(gamma^p, gamma^q), its report at n, and its verify/sweep row cells."""
+    pair = sharpness.PowerWeightPair.create(gamma, p, q)
+    report = sharpness.verify_sharpness(pair, n=n)
+    return pair, report, {k: getattr(report, k) for k in
+                          ("bound", "computed", "relative_gap", "sharp")}
+
+
 def _cmd_verify(args):
-    pair = sharpness.PowerWeightPair.create(parse_weight(args.gamma),
-                                            args.p, args.q)
-    report = sharpness.verify_sharpness(pair, n=args.n)
+    pair, report, results = _verify_row(parse_weight(args.gamma), args.p,
+                                        args.q, args.n)
     is_sharp, phase, residual = sharpness.sharpness_characterization(
         pair.a, pair.b, cross_check=False)
-    results = {"bound": report.bound, "computed": report.computed,
-               "relative_gap": report.relative_gap, "sharp": report.sharp,
-               "estimated_order": _flt(report.estimated_order),
-               "characterization": {"is_sharp": is_sharp, "phase": phase,
-                                    "residual": residual}}
+    results.update(estimated_order=_flt(report.estimated_order),
+                   characterization={"is_sharp": is_sharp, "phase": phase,
+                                     "residual": residual})
     if pair.p + pair.q > 0:
         results["c_pq"] = transform.c_pq(pair.M, pair.p, pair.q)
         results["mu"] = sharpness.mu_constant(pair.M, pair.p, pair.q,
@@ -232,31 +237,25 @@ def _cmd_verify(args):
     return results
 
 
-def _sweep_row(row, gamma, p, q, n):
-    """`row` extended by the verification of (gamma^p, gamma^q) at n."""
-    pair = sharpness.PowerWeightPair.create(gamma, p, q)
-    rep = sharpness.verify_sharpness(pair, n=n)
-    row.update(bound=rep.bound, computed=rep.computed,
-               relative_gap=rep.relative_gap, sharp=rep.sharp)
-    return row
-
-
 def _cmd_sweep(args):
     _require_numbers(args, "L_list", "M_list", "p_list", "q_list")
-    # an out-of-domain L is an argument error (exit 2), not a row
-    rows = [_sweep_row({"L": L}, sharpness.extremal_weight_ps(L), 1.0, 1.0,
-                       args.n)
-            for L in args.L_list or []]
-    for M, p, q in itertools.product(args.M_list or [],
-                                     args.p_list or [],
-                                     args.q_list or []):
-        row = {"M": M, "p": p, "q": q}
+
+    def family(M, p, q):
+        if args.gamma_family == "sine":
+            return sine_family(M)
+        return sharpness.extremal_weight_pq(M, p, q).weight
+    # (row label, weight of the label, p, q); L is the p = q = 1 square wave
+    cases = [({"L": L}, sharpness.extremal_weight_ps, 1.0, 1.0)
+             for L in args.L_list or []]
+    cases += [({"M": M, "p": p, "q": q}, family, p, q)
+              for M, p, q in itertools.product(args.M_list or [],
+                                               args.p_list or [],
+                                               args.q_list or [])]
+    rows = []
+    for label, weight, p, q in cases:
+        row = dict(label)
         try:
-            if args.gamma_family == "sine":
-                gamma = sine_family(M)
-            else:
-                gamma = sharpness.extremal_weight_pq(M, p, q).weight
-            _sweep_row(row, gamma, p, q, args.n)
+            row.update(_verify_row(weight(**label), p, q, args.n)[2])
         except (ValueError, SolverError) as exc:
             row["error"] = str(exc)
         rows.append(row)
@@ -318,7 +317,8 @@ def build_parser():
     common.add_argument("--out", help="write the report to this path")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized probe grids")
+                        help="seed for transform-check's random probes "
+                             "and cases; the other commands ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", parents=[common],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,16 +169,20 @@ EIG_RESIDUAL_TOL = 1e-10
 
 #: best_constant raises SolverError, before any factorization, when
 #: ess sup a / min(1, ess inf b) or ess sup b / min(1, ess inf a)
-#: exceeds this, about the square root of the largest float.  Measured
-#: with constant weights at n = 8, 64 and 4096: a = 1e154 solves with
-#: b = 1 and 1e155 fails, a = 1e142 solves with b = 1e-12 and 1e143
-#: fails (for b > 1 the failures start later, near a = 3e154 sqrt(b)).
-#: The other way round, b = 1e156.75 solves with a = 1 and the failures
-#: start between b = 1e157 (n = 64) and 1e157.75 (n = 4096), in
-#: quarter-decade steps; with a = 1e-12 the eigenpair residual check
-#: fails in some runs from about b = 3e137 on.  Past the limit ARPACK's
-#: Lanczos norms overflow, and LAPACK's DLASCL or numpy may print their
-#: own diagnostics before the solve fails.
+#: exceeds this, about the square root of the largest float, on the
+#: weights scaled so that each ess sup lies in [1, 4).  So scaled, the
+#: two ratios are the contrasts ess sup / ess inf of b and of a, to
+#: within a factor of 4; the scale itself is not limited.  Measured
+#: without the check, in quarter-decade steps, with the weight that is
+#: 1 on [0, 3) and K on [3, 2pi) against a constant: a contrast K in a
+#: alone solves, bit-reproducibly, up to K = 1e300 at n = 64 and 4096,
+#: and fails in ARPACK from K = 1e78.25 at n = 8.  The same K in a and
+#: b solves up to 1e300 at n = 4096, fails from 1e143.5 at n = 8, and
+#: gives different constants in repeated calls from 1e116.5 at n = 64.
+#: A contrast in b alone fails long before the limit, from 1e16.25 at
+#: n = 8 and 1e14.5 at n = 64, after losing digits to the cancellation
+#: in K from about 1e10; at n = 4096 the eigensolve runs for over a
+#: minute at K = 1e8 ... 1e16 and fails from 1e20 on.
 SCALE_LIMIT = 1e154
 
 
@@ -196,21 +201,38 @@ def best_constant(a, b, n=2048):
     loses to cancellation in K: on the reciprocal pair with a 3e-12
     piece the residual is ~5e-18 while lambda_1 is off by 1.8e-5 at
     n = 4096 (the gradient-form quotient of ROADMAP.md is the remedy).
-    Weights past SCALE_LIMIT raise SolverError before the eigensolve,
-    and before scipy is imported.
+
+    The solve runs at unit scale: C(4^i a, 4^j b) = 4^(i - j) C(a, b),
+    and K and M are scaled by the powers of 4 that bring each ess sup
+    into [1, 4); lambda_1 and the constant are scaled back.  A power of
+    4 on a or b thus scales the constant exactly, and only the contrast
+    of a weight is left to overflow.  Weights past SCALE_LIMIT, and a b
+    whose K overflows on the mesh, raise SolverError before the
+    eigensolve and before scipy is imported; so does a constant outside
+    the normal floats, after the eigensolve.
     """
     ea, eb = a.ess_bounds(), b.ess_bounds()
-    for ratio, scale in (("a / min(1, ess inf b)", ea.sup / min(1.0, eb.inf)),
-                         ("b / min(1, ess inf a)", eb.sup / min(1.0, ea.inf))):
+    # 4^i <= ess sup a < 4^(i + 1), and likewise j for b
+    i, j = ((math.frexp(e.sup)[1] - 1) // 2 for e in (ea, eb))
+    sup_a, inf_a = math.ldexp(ea.sup, -2 * i), math.ldexp(ea.inf, -2 * i)
+    sup_b, inf_b = math.ldexp(eb.sup, -2 * j), math.ldexp(eb.inf, -2 * j)
+    for ratio, scale in (("a / min(1, ess inf b)", sup_a / min(1.0, inf_b)),
+                         ("b / min(1, ess inf a)", sup_b / min(1.0, inf_a))):
         if scale > SCALE_LIMIT:
             raise SolverError(f"ess sup {ratio} = {scale:.3g} exceeds "
-                              f"{SCALE_LIMIT:g}; the eigensolve would "
-                              "overflow")
+                              f"{SCALE_LIMIT:g} with each ess sup scaled "
+                              "into [1, 4); the eigensolve would overflow")
+    mesh = build_mesh(a, b, n)
+    # K, about b / h, is assembled in the caller's scale
+    if eb.sup / float(mesh.lengths.min()) > sys.float_info.max:
+        raise SolverError("the stiffness matrix of b overflows a float on "
+                          f"this mesh (ess sup b = {eb.sup:.3g})")
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     operator_cls = _operator_class()
-    mesh = build_mesh(a, b, n)
     stiff, mass = assemble(a, b, mesh)
+    mass.data = np.ldexp(mass.data, -2 * i)
+    stiff.data = np.ldexp(stiff.data, -2 * j)
     m = mesh.n
     e = np.ones(m)
     ones_mass = mass @ e
@@ -256,7 +278,7 @@ def best_constant(a, b, n=2048):
         raise SolverError("lambda_1 is nonpositive (assembly bug?)")
 
     u = _deflate(vecs[:, i1], ones_mass, ones_mass_norm)
-    target = TWO_PI * a.mean()
+    target = TWO_PI * math.ldexp(a.mean(), -2 * i)
     u = u * math.sqrt(target / float(u @ (mass @ u)))
     peak = np.max(np.abs(u))
     first = int(np.argmax(np.abs(u) >= (1.0 - 1e-8) * peak))
@@ -270,7 +292,16 @@ def best_constant(a, b, n=2048):
         raise SolverError(f"eigenpair residual {eig_residual:.3g} exceeds "
                           f"{EIG_RESIDUAL_TOL:g}")
     residual = abs(ones_mass @ u) / float(ones_mass @ np.abs(u))
-    return SpectralResult(constant=1.0 / lam1, lambda1=lam1,
+    # back to the caller's scale, where the constant must be a normal float
+    shift = 2 * (j - i)
+    constant = 1.0 / lam1
+    if not (sys.float_info.min_exp <= math.frexp(constant)[1] - shift
+            <= sys.float_info.max_exp):
+        exponent = math.log10(constant) - shift * math.log10(2.0)
+        raise SolverError(f"the constant, 10^{exponent:.1f}, is outside "
+                          "the float range")
+    return SpectralResult(constant=math.ldexp(constant, -shift),
+                          lambda1=math.ldexp(lam1, shift),
                           eigenfunction=u, nodes=mesh.nodes, n=m,
                           residual=residual)
 

@@ -183,8 +183,10 @@ def test_derived_weight_error_names_the_computation(argv, message, capsys):
     assert captured.err.splitlines() == [f"invalid argument: {message}"]
 
 
-@pytest.mark.parametrize("a,b", [("const:1e300", "const:1e-12"),
-                                 ("const:1e200", "const:1")])
+# normalization by powers of 4 leaves the contrast of a weight: a
+# high-contrast b leaves ess inf b tiny, whatever scale a has
+@pytest.mark.parametrize("a,b", [("const:1", "pwc:0=1,3=1e200"),
+                                 ("const:1e-12", "pwc:0=1e100,3=1e300")])
 def test_weights_past_the_scale_limit_fail_before_the_eigensolve(a, b, capfd):
     # LAPACK writes its diagnostics through the file descriptors, which
     # capsys does not see
@@ -193,20 +195,54 @@ def test_weights_past_the_scale_limit_fail_before_the_eigensolve(a, b, capfd):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("solver error: ess sup a / min(1, ess inf b) = ")
-    assert line.endswith("exceeds 1e+154; the eigensolve would overflow")
+    assert line.endswith("exceeds 1e+154 with each ess sup scaled into "
+                         "[1, 4); the eigensolve would overflow")
 
 
-@pytest.mark.parametrize("a,b", [("const:1", "const:1e200"),
-                                 ("const:1e100", "const:1e200")])
-def test_large_b_past_the_scale_limit_fails_before_the_eigensolve(a, b, capfd):
-    # unguarded, the first fails in ARPACK (zero start vector) and the
-    # second prints numpy's overflow warning before a residual failure
+@pytest.mark.parametrize("a,b,ratio", [
+    ("pwc:0=1,3=1e200", "const:1", "7.65e+199"),
+    ("pwc:0=1e-12,3=1e200", "const:1e200", "1e+212")])
+def test_large_b_past_the_scale_limit_fails_before_the_eigensolve(a, b, ratio,
+                                                                  capfd):
+    # on the scaled weights, ess sup b / min(1, ess inf a) is about the
+    # contrast of a
     assert main(["solve", "--a", a, "--b", b, "--n", "64"]) == 3
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "solver error: ess sup b / min(1, ess inf a) = 1e+200 exceeds "
-        "1e+154; the eigensolve would overflow"]
+        f"solver error: ess sup b / min(1, ess inf a) = {ratio} exceeds "
+        "1e+154 with each ess sup scaled into [1, 4); the eigensolve would "
+        "overflow"]
+
+
+@pytest.mark.parametrize("a,b", [("const:1e200", "const:1"),
+                                 ("const:1", "const:1e200"),
+                                 ("const:1e100", "const:1e200"),
+                                 ("const:1e-12", "const:1e141")])
+def test_large_weights_solve_at_unit_scale(a, b, capsys):
+    # C(const s, const t) = (s / t) C(1, 1), and the discrete C(1, 1) is
+    # 0.9991971967547243 at n = 64
+    assert main(["solve", "--a", a, "--b", b, "--n", "64"]) == 0
+    ratio = float(a.split(":")[1]) / float(b.split(":")[1])
+    constant = json.loads(capsys.readouterr().out)["results"]["constant"]
+    assert constant == pytest.approx(0.9991971967547243 * ratio, rel=1e-13)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--a", "const:1e300", "--b", "const:1e-12", "--n", "64"],
+     "the constant, 10^312.0, is outside the float range"),
+    (["--a", "const:1e-12", "--b", "const:1e300", "--n", "64"],
+     "the constant, 10^-312.0, is outside the float range"),
+    (["--a", "const:1", "--b", "const:1e307", "--n", "4096"],
+     "the stiffness matrix of b overflows a float on this mesh "
+     "(ess sup b = 1e+307)"),
+], ids=["C=1e312", "C=1e-312", "K-overflows"])
+def test_result_outside_the_float_range_is_a_solver_error(argv, message,
+                                                          capfd):
+    assert main(["solve", *argv]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"solver error: {message}"]
 
 
 def test_sweep_row_whose_solve_fails_is_an_error_cell(capsys):
@@ -217,8 +253,37 @@ def test_sweep_row_whose_solve_fails_is_an_error_cell(capsys):
     assert main(argv + ["--M-list", "4"]) == 0
     alone = json.loads(capsys.readouterr().out)["results"]["rows"]
     assert [row["M"] for row in rows] == [1e160, 4.0]
-    assert rows[0]["error"].startswith("ess sup a / min(1, ess inf b) = ")
+    assert rows[0]["error"].startswith("ess sup b / min(1, ess inf a) = ")
     assert rows[1:] == alone
+
+
+def test_sweep_L_row_whose_solve_fails_is_an_error_cell(capsys):
+    assert main(["sweep", "--L-list", "1e160,4", "--n", "64"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert main(["sweep", "--L-list", "4", "--n", "64"]) == 0
+    alone = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert list(rows[0]) == ["L", "error"] and rows[0]["L"] == 1e160
+    assert "exceeds 1e+154" in rows[0]["error"]
+    assert rows[1:] == alone
+
+
+def test_sweep_L_below_1_is_an_error_cell(capsys):
+    assert main(["sweep", "--L-list", "0.5,4", "--n", "64"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert rows[0] == {"L": 0.5, "error": "extremal weight requires L >= 1"}
+    assert list(rows[1]) == ["L", "bound", "computed", "relative_gap",
+                             "sharp"]
+
+
+def test_sweep_csv_header_covers_L_error_and_M_rows(capsys):
+    assert main(["sweep", "--L-list", "1e160", "--M-list", "4",
+                 "--p-list", "1", "--q-list", "0", "--n", "64",
+                 "--format", "csv"]) == 0
+    header, error_row, m_row = capsys.readouterr().out.splitlines()
+    assert header == "L,error,M,p,q,bound,computed,relative_gap,sharp"
+    assert error_row.startswith('1e+160,"""ess sup')
+    assert error_row.endswith('",null,null,null,null,null,null,null')
+    assert m_row.startswith("null,null,4,1,0,")
 
 
 def test_solver_error_exit_code(monkeypatch, capsys):
@@ -433,7 +498,8 @@ def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
     # the closed forms, the extremal profiles and the transform need
     # numpy only, and a solve past SCALE_LIMIT is rejected before scipy
     # would load
-    too_large = ["solve", "--a", "const:1", "--b", "const:1e200", "--n", "64"]
+    too_large = ["solve", "--a", "pwc:0=1,3=1e200", "--b", "const:1",
+                 "--n", "64"]
     argvs = [["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
              ["extremal", "--family", "pq", "--M", "4", "--p", "1",
               "--q", "0", "--samples", "64", "--out", "e.json"],

@@ -488,3 +488,25 @@ def test_monotone_in_b_property(a, b, n, factors):
     # b <= b' gives C(a, b) >= C(a, b'), on the shared mesh likewise
     assert (best_constant(a, b, n).constant * (1 + 1e-12)
             >= best_constant(a, raised(b, factors), n).constant)
+
+
+@given(pwc_weights(), pwc_weights(), st.sampled_from([16, 64]),
+       st.integers(-60, 60), st.integers(-60, 60))
+@settings(max_examples=25, deadline=None)
+def test_power_of_4_scaling_property(a, b, n, i, j):
+    # best_constant solves on a / 4^i' and b / 4^j' with each ess sup in
+    # [1, 4), so C(4^i a, 4^j b) = 4^(i - j) C(a, b) holds bit for bit;
+    # the base pair is lifted by 4^45 to keep 4^-60 a above
+    # POSITIVITY_FLOOR
+    a, b = a.scale(4.0 ** 45), b.scale(4.0 ** 45)
+    base = best_constant(a, b, n).constant
+    scaled = best_constant(a.scale(4.0 ** i), b.scale(4.0 ** j), n).constant
+    assert scaled == math.ldexp(base, 2 * (i - j))
+
+
+def test_large_scale_solve_is_deterministic():
+    # solved at the user's scale, this pair gave several constants in as
+    # many calls in one process
+    a, b = PeriodicWeight.constant(1e120), ONE
+    constants = {best_constant(a, b, 64).constant.hex() for _ in range(6)}
+    assert len(constants) == 1
