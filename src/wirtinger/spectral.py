@@ -11,7 +11,6 @@ it, loads numpy only.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -136,32 +135,6 @@ def assemble(a, b, mesh):
     return _cyclic_csc(kdiag, -kdiag, kdiag), _cyclic_csc(m00, m01, m11)
 
 
-@functools.cache
-def _operator_class():
-    """LinearOperator subclass whose `matvec` is a bare function.
-
-    Built on first use, so that scipy loads with the first solve.
-    """
-    import scipy.sparse.linalg as spla
-
-    class _Operator(spla.LinearOperator):
-        """A square operator whose `matvec` is the bare function `fn`.
-
-        eigsh in shift-invert mode calls the `matvec` of M and of OPinv
-        on every Lanczos step; this skips LinearOperator's shape checks
-        and wrapper layers.
-        """
-
-        def __init__(self, fn, m):
-            super().__init__(np.float64, (m, m))
-            self.matvec = fn
-
-        def _matvec(self, x):  # LinearOperator subclasses must define one
-            return self.matvec(x)
-
-    return _Operator
-
-
 #: largest eigenpair residual ||K u - lambda M u|| / (||K||_1 ||u||)
 #: best_constant accepts
 EIG_RESIDUAL_TOL = 1e-10
@@ -176,9 +149,9 @@ EIG_RESIDUAL_TOL = 1e-10
 #: without the check, in quarter-decade steps, with the weight that is
 #: 1 on [0, 3) and K on [3, 2pi) against a constant: a contrast K in a
 #: alone solves, bit-reproducibly, up to K = 1e300 at n = 64 and 4096,
-#: and fails in ARPACK from K = 1e78.25 at n = 8.  The same K in a and
-#: b solves up to 1e300 at n = 4096, fails from 1e143.5 at n = 8, and
-#: gives different constants in repeated calls from 1e116.5 at n = 64.
+#: and fails in ARPACK at K = 1e77.5 and, with a few exceptions, from
+#: 1e123.25 at n = 8.  The same K in a and b solves up to 1e300 at
+#: n = 64 and 4096 and fails, all but once, from 1e145.75 at n = 8.
 #: A contrast in b alone fails long before the limit, from 1e16.25 at
 #: n = 8 and 1e14.5 at n = 64, after losing digits to the cancellation
 #: in K from about 1e10; at n = 4096 the eigensolve runs for over a
@@ -194,13 +167,17 @@ def best_constant(a, b, n=2048):
     """Estimate C(a, b) = 1/lambda_1 on an n-node mesh.
 
     Shift-invert Lanczos (ARPACK) with the shift placed from a trial
-    Rayleigh quotient; K - sigma M is factored once.  The returned pair
-    (lambda_1, eigenfunction) must satisfy ||K u - lambda_1 M u||_2 <=
-    EIG_RESIDUAL_TOL * ||K||_1 ||u||_2, else SolverError.  The check
-    catches a failed or unconverged eigensolve, not the digits lambda_1
-    loses to cancellation in K: on the reciprocal pair with a 3e-12
-    piece the residual is ~5e-18 while lambda_1 is off by 1.8e-5 at
-    n = 4096 (the gradient-form quotient of ROADMAP.md is the remedy).
+    Rayleigh quotient; K - sigma M is factored once.  M and the solve
+    with K - sigma M reach ARPACK as bare `matvec` callbacks on scipy's
+    own LinearOperator, and its start vector and the generator of its
+    restart vectors are fixed, so repeated calls return the same bits.
+    The returned pair (lambda_1, eigenfunction) must satisfy
+    ||K u - lambda_1 M u||_2 <= EIG_RESIDUAL_TOL * ||K||_1 ||u||_2,
+    else SolverError.  The check catches a failed or unconverged
+    eigensolve, not the digits lambda_1 loses to cancellation in K: on
+    the reciprocal pair with a 3e-12 piece the residual is ~5e-18 while
+    lambda_1 is off by 1.8e-5 at n = 4096 (the gradient-form quotient
+    of ROADMAP.md is the remedy).
 
     The solve runs at unit scale: C(4^i a, 4^j b) = 4^(i - j) C(a, b),
     and K and M are scaled by the powers of 4 that bring each ess sup
@@ -229,7 +206,6 @@ def best_constant(a, b, n=2048):
                           f"this mesh (ess sup b = {eb.sup:.3g})")
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    operator_cls = _operator_class()
     stiff, mass = assemble(a, b, mesh)
     mass.data = np.ldexp(mass.data, -2 * i)
     stiff.data = np.ldexp(stiff.data, -2 * j)
@@ -256,14 +232,20 @@ def best_constant(a, b, n=2048):
                                 shape=stiff.shape, copy=True)
         shifted.eliminate_zeros()
         lu = spla.splu(shifted)
-        # fixed start vector keeps repeated solves bit-reproducible; in
-        # this mode eigsh reads only the shape and dtype of its first
-        # argument
-        vals, vecs = spla.eigsh(stiff, k=k,
-                                M=operator_cls(mass.__matmul__, m),
-                                sigma=sigma, which="LM",
-                                v0=v / np.linalg.norm(v),
-                                OPinv=operator_cls(lu.solve, m))
+        # eigsh calls the matvec of M and of OPinv on every Lanczos step;
+        # the bare functions there skip LinearOperator's shape checks and
+        # wrapper layers
+        mass_op = spla.LinearOperator((m, m), matvec=mass.__matmul__,
+                                      dtype=np.float64)
+        inv_op = spla.LinearOperator((m, m), matvec=lu.solve,
+                                     dtype=np.float64)
+        mass_op.matvec, inv_op.matvec = mass.__matmul__, lu.solve
+        # a fixed start vector and restart generator keep repeated solves
+        # bit-reproducible; in this mode eigsh reads only the shape and
+        # dtype of its first argument
+        vals, vecs = spla.eigsh(stiff, k=k, M=mass_op, sigma=sigma,
+                                which="LM", v0=v / np.linalg.norm(v),
+                                OPinv=inv_op, rng=0)
     except Exception as exc:  # ARPACK / factorization failure
         raise SolverError(f"generalized eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
