@@ -72,7 +72,7 @@ def parse_weight(spec):
         if kind == "bar-gamma":
             m_str, p_str, q_str = arg.split(",")
             return sharpness.extremal_weight_pq(
-                float(m_str), float(p_str), float(q_str)).weight
+                float(m_str), float(p_str), float(q_str))
         if kind == "pwc":
             breakpoints, values = [], []
             for pair in arg.split(","):
@@ -243,7 +243,7 @@ def _cmd_sweep(args):
     def family(M, p, q):
         if args.gamma_family == "sine":
             return sine_family(M)
-        return sharpness.extremal_weight_pq(M, p, q).weight
+        return sharpness.extremal_weight_pq(M, p, q)
     # (row label, weight of the label, p, q); L is the p = q = 1 square wave
     cases = [({"L": L}, sharpness.extremal_weight_ps, 1.0, 1.0)
              for L in args.L_list or []]

@@ -26,7 +26,11 @@ from .weights import TWO_PI, PeriodicWeight, product, sqrt_ratio
 
 @dataclass(frozen=True)
 class PowerWeightPair:
-    """A pair (gamma^p, gamma^q) with gamma normalized to infimum 1."""
+    """A pair (gamma^p, gamma^q) with gamma normalized to infimum 1.
+
+    `create` rescales gamma unless its essential infimum is already
+    within 1e-9 of 1; M is the ratio sup gamma / inf gamma.
+    """
 
     gamma: PeriodicWeight
     p: float
@@ -36,10 +40,10 @@ class PowerWeightPair:
     @staticmethod
     def create(gamma, p, q):
         bounds = gamma.ess_bounds()
-        if not bounds.is_normalized:
+        if abs(bounds.inf - 1.0) > 1e-9:
             gamma = gamma.scale(1.0 / bounds.inf)
         return PowerWeightPair(gamma=gamma, p=float(p), q=float(q),
-                               M=bounds.L_or_M)
+                               M=bounds.sup / bounds.inf)
 
     @cached_property
     def a(self):
@@ -55,8 +59,8 @@ class ExtremalProfile:
     """An extremal weight with its extremal function and constants."""
 
     weight: PeriodicWeight
-    fn: object                 # callable theta -> value, or None
-    fn_prime: object           # callable theta -> derivative, or None
+    fn: object                 # callable theta -> value
+    fn_prime: object           # callable theta -> derivative
     constants: dict
 
 
@@ -107,13 +111,11 @@ def bound_power(pair):
 def _square_wave(M, p, q):
     """Extremal gamma: 1 on [0, c pi/2) and [pi, pi + c pi/2), M elsewhere.
 
-    Returns the weight and its constant c = c_pq(M, p, q).
+    Here c = c_pq(M, p, q).
     """
-    c = transform.c_pq(M, p, q)
-    half = c * math.pi / 2.0
-    weight = PeriodicWeight.piecewise([0.0, half, math.pi, math.pi + half],
-                                      [1.0, float(M), 1.0, float(M)])
-    return weight, c
+    half = transform.c_pq(M, p, q) * math.pi / 2.0
+    return PeriodicWeight.piecewise([0.0, half, math.pi, math.pi + half],
+                                    [1.0, float(M), 1.0, float(M)])
 
 
 def _extremal_fn(M, p, q, mu):
@@ -153,7 +155,7 @@ def extremal_weight_ps(L):
     """
     if L < 1.0:
         raise ValueError("extremal weight requires L >= 1")
-    return _square_wave(L, 1.0, 1.0)[0]
+    return _square_wave(L, 1.0, 1.0)
 
 
 def extremal_fn_ps(L):
@@ -166,14 +168,12 @@ def extremal_fn_ps(L):
 
 
 def extremal_weight_pq(M, p, q):
-    """Extremal gamma for the power-weight bound, with its constant c_pq."""
+    """Extremal gamma for the power-weight bound."""
     if M <= 1.0:
         raise ValueError("extremal family requires M > 1")
     if p + q <= 0:
         raise ValueError("extremal family requires p + q > 0")
-    weight, c = _square_wave(M, p, q)
-    return ExtremalProfile(weight=weight, fn=None, fn_prime=None,
-                           constants={"c_pq": c})
+    return _square_wave(M, p, q)
 
 
 def mu_constant(M, p, q, mu_mode="continuity_corrected"):
@@ -187,11 +187,11 @@ def mu_constant(M, p, q, mu_mode="continuity_corrected"):
 
 def extremal_fn_pq(M, p, q, mu_mode="continuity_corrected"):
     """Extremal function of the power family, in the chosen mu convention."""
-    profile = extremal_weight_pq(M, p, q)
+    weight = extremal_weight_pq(M, p, q)
     mu = mu_constant(M, p, q, mu_mode)
     fn, fn_prime = _extremal_fn(M, p, q, mu)
-    return ExtremalProfile(weight=profile.weight, fn=fn, fn_prime=fn_prime,
-                           constants={"c_pq": profile.constants["c_pq"],
+    return ExtremalProfile(weight=weight, fn=fn, fn_prime=fn_prime,
+                           constants={"c_pq": transform.c_pq(M, p, q),
                                       "mu": mu, "mu_mode": mu_mode})
 
 

@@ -42,12 +42,10 @@ def match_scalar(theta, out):
 
 @dataclass(frozen=True)
 class ClassMembership:
-    """Essential bounds of a weight and its oscillation ratio sup/inf."""
+    """Essential infimum and supremum of a weight."""
 
     inf: float
     sup: float
-    is_normalized: bool
-    L_or_M: float
 
 
 class PeriodicWeight:
@@ -165,9 +163,7 @@ class PeriodicWeight:
             lo, hi = self.declared_bounds
         if lo <= 0.0:
             raise ValueError("essential infimum must be positive")
-        return ClassMembership(inf=lo, sup=hi,
-                               is_normalized=abs(lo - 1.0) <= 1e-9,
-                               L_or_M=hi / lo)
+        return ClassMembership(inf=lo, sup=hi)
 
     # -- algebra ---------------------------------------------------------
 

@@ -61,7 +61,7 @@ def test_criterion_3_power_weight_equality_cases():
     details = []
     ok = True
     for M, p, q in [(4, 1, 0), (4, 2, 1), (9, 1, 1), (4, 0.5, 0.5), (4, 0, 2)]:
-        gam = extremal_weight_pq(M, p, q).weight
+        gam = extremal_weight_pq(M, p, q)
         pair = PowerWeightPair.create(gam, p, q)
         rep = verify_sharpness(pair, n=2048)
         prof = extremal_fn_pq(M, p, q)
@@ -103,7 +103,7 @@ def test_criterion_5_reciprocal_pair_closed_form():
 def test_criterion_6_transform_invariance():
     pairs = [
         ("bar-a/bar-a", extremal_weight_ps(4.0), extremal_weight_ps(4.0)),
-        ("bar-gamma/1", extremal_weight_pq(4.0, 1.0, 0.0).weight, ONE),
+        ("bar-gamma/1", extremal_weight_pq(4.0, 1.0, 0.0), ONE),
         ("bar-a/inv", extremal_weight_ps(4.0),
          extremal_weight_ps(4.0).power(-1.0)),
         ("sine/1", sine_family(4.0), ONE),
@@ -169,7 +169,7 @@ def test_criterion_8_homeomorphism_identities():
         worst_rt = max(worst_rt, float(np.max(np.abs(hinv(h(probes)) - probes))))
         worst_lift = max(worst_lift, float(np.max(np.abs(
             h(probes + TWO_PI) - h(probes) - TWO_PI))))
-        gam = extremal_weight_pq(M, p, q).weight
+        gam = extremal_weight_pq(M, p, q)
         cov = build_cov(gam.power(p), gam.power(q))
         worst_c = max(worst_c, abs(cov.c - c_pq(M, p, q)) / c_pq(M, p, q))
     ok = worst_rt <= 1e-10 and worst_lift <= 1e-10 and worst_c <= 1e-12
@@ -178,7 +178,7 @@ def test_criterion_8_homeomorphism_identities():
 
 
 def test_criterion_9_characterization_agreement():
-    cases = [(extremal_weight_pq(M, p, q).weight, p, q)
+    cases = [(extremal_weight_pq(M, p, q), p, q)
              for M, p, q in [(4, 1, 0), (4, 2, 1), (9, 1, 1),
                              (4, 0.5, 0.5), (4, 0, 2)]]
     cases += [(sine_family(4.0), 1.0, 0.0), (sine_family(4.0), 1.0, 1.0)]

@@ -58,7 +58,7 @@ def test_bound_power_equal_exponents_reduce_to_ps():
 
 
 def test_bound_power_example_4_1_0():
-    gam = extremal_weight_pq(4.0, 1.0, 0.0).weight
+    gam = extremal_weight_pq(4.0, 1.0, 0.0)
     pair = PowerWeightPair.create(gam, 1.0, 0.0)
     expected = ((4.0 / 3.0) / ((4 / math.pi) * math.atan(4 ** -0.25))) ** 2
     assert bound_power(pair) == pytest.approx(expected, rel=1e-14)
@@ -81,6 +81,14 @@ def test_power_pair_normalizes_gamma():
     pair = PowerWeightPair.create(ABAR.scale(3.0), 1.0, 1.0)
     assert pair.gamma.ess_bounds().inf == pytest.approx(1.0, abs=1e-12)
     assert pair.M == pytest.approx(4.0, rel=1e-12)
+
+
+def test_power_pair_normalization_tolerance():
+    # an essential infimum within 1e-9 of 1 counts as normalized
+    near = ABAR.scale(1.0 + 5e-10)
+    assert PowerWeightPair.create(near, 1.0, 1.0).gamma is near
+    far = PowerWeightPair.create(ABAR.scale(1.0 + 2e-9), 1.0, 1.0)
+    assert far.gamma.ess_bounds().inf == 1.0
 
 
 def test_power_pair_builds_each_power_once():
@@ -124,20 +132,20 @@ def test_extremal_fn_ps_attains_quotient():
 
 
 def test_extremal_weight_pq_cases():
-    prof = extremal_weight_pq(4.0, 1.0, 0.0)
-    assert prof.constants["c_pq"] == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert np.allclose(prof.weight.breakpoints,
+    c = extremal_fn_pq(4.0, 1.0, 0.0).constants["c_pq"]
+    assert c == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert np.allclose(extremal_weight_pq(4.0, 1.0, 0.0).breakpoints,
                        [0, 2 * math.pi / 3, math.pi, 5 * math.pi / 3])
-    prof = extremal_weight_pq(4.0, 0.0, 1.0)
-    assert prof.constants["c_pq"] == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert np.allclose(prof.weight.breakpoints,
+    c = extremal_fn_pq(4.0, 0.0, 1.0).constants["c_pq"]
+    assert c == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert np.allclose(extremal_weight_pq(4.0, 0.0, 1.0).breakpoints,
                        [0, math.pi / 3, math.pi, 4 * math.pi / 3])
 
 
 def test_extremal_weight_pq_equal_exponents_match_bar_a():
-    prof = extremal_weight_pq(4.0, 1.0, 1.0)
+    gam = extremal_weight_pq(4.0, 1.0, 1.0)
     probes = np.linspace(0.01, TWO_PI, 57)
-    assert np.allclose(prof.weight.eval(probes), ABAR.eval(probes))
+    assert np.allclose(gam.eval(probes), ABAR.eval(probes))
 
 
 def test_extremal_weight_pq_rejects_bad_params():
@@ -254,7 +262,7 @@ def test_closed_form_pq0_golden_values_off_the_period():
 
 
 def test_verify_sharpness_extremal_family():
-    gam = extremal_weight_pq(4.0, 1.0, 0.0).weight
+    gam = extremal_weight_pq(4.0, 1.0, 0.0)
     rep = verify_sharpness(PowerWeightPair.create(gam, 1.0, 0.0), n=1024)
     assert rep.sharp and abs(rep.relative_gap) <= 5e-3
 
@@ -291,7 +299,7 @@ def test_verify_sharpness_phase_equivariance():
     def shifted_bar_gamma(phi):
         # gamma(theta + phi) as a piecewise-constant weight; sample each
         # interval slightly inside to dodge rounding at the jumps
-        base = extremal_weight_pq(4.0, 1.0, 0.0).weight
+        base = extremal_weight_pq(4.0, 1.0, 0.0)
         bp = np.sort(np.mod(base.breakpoints - phi, TWO_PI))
         vals = base.eval(bp + phi + 1e-9)
         return PeriodicWeight.piecewise(bp, vals)
@@ -316,7 +324,7 @@ def test_sharpness_characterization_equal_bar_a():
 
 
 def test_sharpness_characterization_gamma_bar():
-    gam = extremal_weight_pq(4.0, 1.0, 0.0).weight
+    gam = extremal_weight_pq(4.0, 1.0, 0.0)
     report = verify_sharpness(PowerWeightPair.create(gam, 1.0, 0.0), n=512)
     is_sharp, _, resid = sharpness_characterization(gam, ONE,
                                                     cross_check=report)
@@ -333,7 +341,7 @@ def test_sharpness_characterization_sine_not_sharp():
 def test_sharpness_characterization_reuses_the_report(monkeypatch):
     from wirtinger import spectral
 
-    pair = PowerWeightPair.create(extremal_weight_pq(4.0, 1.0, 0.0).weight,
+    pair = PowerWeightPair.create(extremal_weight_pq(4.0, 1.0, 0.0),
                                   1.0, 0.0)
     report = verify_sharpness(pair, n=256)
     calls = []
@@ -371,7 +379,7 @@ def test_verify_and_characterization_agree_property(sine, M, pq):
     # sharpness_characterization raises when its verdict and the report's
     # disagree
     p, q = pq
-    gamma = sine_family(M) if sine else extremal_weight_pq(M, p, q).weight
+    gamma = sine_family(M) if sine else extremal_weight_pq(M, p, q)
     pair = PowerWeightPair.create(gamma, p, q)
     is_sharp, _, _ = sharpness_characterization(
         pair.a, pair.b, cross_check=verify_sharpness(pair, n=512))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirtinger import PeriodicWeight, product, sine_family
+from wirtinger import PeriodicWeight, PowerWeightPair, product, sine_family
 from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
 from wirtinger.weights import PROBE_POINTS
 
@@ -27,10 +27,12 @@ def test_eval_bar_a_cases_and_periodicity():
 
 
 def test_ess_bounds_bar_a():
-    cm = extremal_weight_ps(4.0).ess_bounds()
+    abar = extremal_weight_ps(4.0)
+    cm = abar.ess_bounds()
     assert (cm.inf, cm.sup) == (1.0, 4.0)
-    assert cm.L_or_M == 4.0
-    assert cm.is_normalized
+    pair = PowerWeightPair.create(abar, 1.0, 1.0)
+    assert pair.M == 4.0
+    assert pair.gamma is abar
 
 
 def test_ess_bounds_constant_one():
@@ -53,7 +55,7 @@ def test_power_pointwise():
     abar = extremal_weight_ps(4.0)
     inv = abar.power(-1.0)
     assert list(inv.values) == [1.0, 0.25, 1.0, 0.25]
-    sqrt_gam = extremal_weight_pq(4.0, 1.0, 0.0).weight.power(0.5)
+    sqrt_gam = extremal_weight_pq(4.0, 1.0, 0.0).power(0.5)
     assert list(sqrt_gam.values) == [1.0, 2.0, 1.0, 2.0]
 
 
@@ -89,7 +91,7 @@ def test_mean_examples():
     assert PeriodicWeight.constant(1.0).mean() == pytest.approx(1.0)
     assert extremal_weight_ps(4.0).mean() == pytest.approx(2.5, rel=1e-15)
     # gamma_bar(M=4, p=1, q=0)^(1/2): value 1 on measure 4pi/3, 2 on 2pi/3
-    half = extremal_weight_pq(4.0, 1.0, 0.0).weight.power(0.5)
+    half = extremal_weight_pq(4.0, 1.0, 0.0).power(0.5)
     assert half.mean() == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
