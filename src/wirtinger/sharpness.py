@@ -72,7 +72,6 @@ class BoundReport:
     computed: float
     relative_gap: float
     sharp: bool
-    n: int
     estimated_order: float | None
 
 
@@ -234,7 +233,7 @@ def verify_sharpness(pair, n=2048):
     gap = (bound - result.constant) / bound
     return BoundReport(bound=bound, computed=result.constant,
                        relative_gap=gap, sharp=abs(gap) <= SHARPNESS_TOL,
-                       n=result.n, estimated_order=result.estimated_order)
+                       estimated_order=result.estimated_order)
 
 
 def sharpness_characterization(a, b, cross_check=None):

@@ -1,8 +1,9 @@
 """2pi-periodic weight functions and their calculus.
 
-A weight is either piecewise constant (exact integration, exact bounds)
-or a sampled closed form (vectorized evaluator, composite midpoint
-quadrature).  All weights are finite, strictly positive and immutable.
+A weight is piecewise constant or a sampled closed form.  Every integral
+is the exact integral of its `cells()`, the pieces or PANELS midpoint
+panels, and its bounds are one range fixed at construction.  All
+weights are finite, strictly positive and immutable.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ class PeriodicWeight:
                 raise ValueError("weight is not finite")
             if np.min(samples) < POSITIVITY_FLOOR:
                 raise ValueError("weight is not bounded away from zero")
-        # exact range of a piecewise-constant weight; a closed form's probe
+            samples = self.declared_bounds or samples
+        # exact range of a piecewise-constant weight; a closed form's
+        # declared bounds, else its probe
         self._range = (float(np.min(samples)), float(np.max(samples)))
 
     # -- constructors -------------------------------------------------
@@ -151,19 +154,13 @@ class PeriodicWeight:
     # -- bounds ----------------------------------------------------------
 
     def ess_bounds(self):
-        """Essential infimum/supremum.
+        """Essential infimum/supremum, fixed at construction.
 
         Exact for piecewise-constant weights.  For closed forms the
         declared bounds win when present, otherwise the extremes of the
-        dense probe grid taken at construction are used.
+        PROBE_GRID samples are used.
         """
-        if self.kind == "piecewise_constant" or self.declared_bounds is None:
-            lo, hi = self._range
-        else:
-            lo, hi = self.declared_bounds
-        if lo <= 0.0:
-            raise ValueError("essential infimum must be positive")
-        return ClassMembership(inf=lo, sup=hi)
+        return ClassMembership(*self._range)
 
     # -- algebra ---------------------------------------------------------
 
@@ -206,7 +203,8 @@ class PeriodicWeight:
         The cumulative integral runs from 0 to every cell edge, so it has
         one entry more than there are cells; the last is the period's.
         Exact for a piecewise-constant weight, whose cells are its pieces;
-        a closed form's are the PANELS panels, valued at their midpoints.
+        a closed form's are the PANELS panels, valued at their midpoints,
+        and their integral is that of its midpoint surrogate.
         """
         if self._cells is None:
             mids = 0.5 * (_GRID_EDGES[:-1] + _GRID_EDGES[1:])
@@ -218,23 +216,18 @@ class PeriodicWeight:
     def antiderivative(self, theta):
         """Integral of w from 0 to theta, for any real theta.
 
-        Exact for piecewise-constant weights; composite midpoint with
-        PANELS panels per period otherwise.
+        The exact antiderivative of the piecewise-constant `cells()`:
+        exact for piecewise-constant weights, and for closed forms that
+        of the PANELS-panel midpoint surrogate, as in `build_cov`.
         """
         th = np.asarray(theta, dtype=float)
         n_per = np.floor(th / TWO_PI)
         rem = th - TWO_PI * n_per
         edges, cum, vals = self.cells()
-        if self.kind == "piecewise_constant":
-            # rem rounds slightly below 0 just under a multiple of 2pi;
-            # the first piece continues linearly there
-            idx = np.maximum(np.searchsorted(edges, rem, side="right") - 1, 0)
-            part = cum[idx] + vals[idx] * (rem - edges[idx])
-        else:
-            k = np.minimum((rem / (TWO_PI / PANELS)).astype(int), PANELS - 1)
-            d = rem - edges[k]
-            part = cum[k] + d * self.eval(edges[k] + 0.5 * d)
-        out = n_per * cum[-1] + part
+        # rem rounds slightly below 0 just under a multiple of 2pi; the
+        # first cell continues linearly there
+        idx = np.maximum(np.searchsorted(edges, rem, side="right") - 1, 0)
+        out = n_per * cum[-1] + (cum[idx] + vals[idx] * (rem - edges[idx]))
         return match_scalar(theta, out)
 
     def integrate(self, theta0, theta1):
@@ -244,8 +237,8 @@ class PeriodicWeight:
         return self.antiderivative(theta1) - self.antiderivative(theta0)
 
     def mean(self):
-        """Average value over one period."""
-        return self.integrate(0.0, TWO_PI) / TWO_PI
+        """Average value over one period: the cells' total over 2pi."""
+        return float(self.cells()[1][-1]) / TWO_PI
 
 
 def split_panels(breakpoints, panels):

@@ -73,6 +73,18 @@ def test_solve_command(capsys):
     assert report["results"]["constant"] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_solve_n_list_command(capsys):
+    rc = main(["solve", "--a", "bar-a:4", "--b", "const:1",
+               "--n-list", "128,256,512"])
+    assert rc == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["estimated_order"] == pytest.approx(2.0, abs=0.3)
+    ns, constants = zip(*res["convergence_table"])
+    assert list(ns) == [128, 256, 512]
+    assert constants[0] < constants[1] < constants[2]
+    assert res["lambda1"] == 1.0 / res["constant"]
+
+
 def test_bound_command(capsys):
     rc = main(["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"])
     assert rc == 0
@@ -135,6 +147,9 @@ def test_parse_error_exit_code(capsys):
     ["bound", "--a", "const:1e300", "--b", "const:1e-12"],
     ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "4", "--q", "0"],
     ["bound", "--a", "pow:2:sine:1e200", "--b", "const:1"],
+    # a power modifier without its weight, a sine family below M = 1
+    ["bound", "--a", "pow:2", "--b", "const:1"],
+    ["bound", "--a", "sine:0.5", "--b", "const:1"],
 ])
 def test_out_of_domain_argument_exit_code(argv, capsys):
     assert main(argv) == 2
@@ -295,6 +310,22 @@ def test_solver_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "best_constant", boom)
     rc = main(["solve", "--a", "const:1", "--b", "const:1", "--n", "64"])
     assert rc == 3
+
+
+def test_arpack_failure_exit_code(monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+
+    def unconverged(*args, **kwargs):
+        raise spla.ArpackNoConvergence("synthetic no convergence", [], [])
+
+    # best_constant looks eigsh up in scipy.sparse.linalg at call time
+    monkeypatch.setattr(spla, "eigsh", unconverged)
+    rc = main(["solve", "--a", "const:1", "--b", "const:1", "--n", "64"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "solver error: generalized eigensolve failed")
 
 
 def test_eigenpair_residual_failure_exit_code(perturbed_eigsh, capsys):

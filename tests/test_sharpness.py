@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, PowerWeightPair, bound_general,
-                       bound_power, closed_form_pq0, extremal_fn_pq,
+                       bound_power, closed_form_pq0, converge, extremal_fn_pq,
                        extremal_fn_ps, extremal_weight_pq, extremal_weight_ps,
                        mu_constant, rayleigh_quotient,
                        sharpness_characterization, sine_family,
@@ -286,7 +286,9 @@ def test_verify_sharpness_requires_n_at_least_32():
     pair = PowerWeightPair.create(sine_family(4.0), 1.0, 0.0)
     with pytest.raises(ValueError, match=r"requires n >= 32 \(its coarsest"):
         verify_sharpness(pair, n=31)
-    assert verify_sharpness(pair, n=32).n == 32
+    # n is the finest of the three Richardson levels
+    assert verify_sharpness(pair, n=32).computed == converge(
+        pair.a, pair.b, [8, 16, 32]).constant
 
 
 def test_verify_sharpness_pq0_always_sharp():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -293,6 +294,23 @@ def test_converge_aligned_discontinuous():
     assert res.estimated_order == pytest.approx(2.0, abs=0.5)
 
 
+@pytest.mark.parametrize("levels", [(1.0, 1.5, 1.2), (1.0, 1.5, 1.5)])
+def test_converge_without_monotone_levels_has_no_order(monkeypatch, levels):
+    # d1 / d2 <= 0, or d2 == 0: no order, and the finest constant stands
+    from wirtinger import spectral
+    real = spectral.best_constant
+    constants = dict(zip([64, 128, 256], levels))
+
+    def fake(a, b, n):
+        return dataclasses.replace(real(a, b, n), constant=constants[n])
+
+    monkeypatch.setattr(spectral, "best_constant", fake)
+    res = converge(ONE, ONE, [64, 128, 256])
+    assert res.estimated_order is None
+    assert res.constant == levels[-1] and res.lambda1 == 1.0 / levels[-1]
+    assert res.history == ((64, 1.0), (128, 1.5), (256, levels[-1]))
+
+
 def test_converge_validates_input():
     with pytest.raises(ValueError):
         converge(ONE, ONE, [64, 128])
@@ -429,6 +447,24 @@ def test_reflection_invariance_property(a, b, n):
     base = best_constant(a, b, n).constant
     mirrored = best_constant(reflected(a), reflected(b), n).constant
     assert mirrored == pytest.approx(base, rel=1e-9)
+
+
+#: two constant-1 weights whose breakpoints lie 2 ulps apart
+UNION_SLIVER = tuple(
+    PeriodicWeight.piecewise([0.0, float.fromhex(x)], [1.0, 1.0])
+    for x in ("0x1.0c152382d7365p+1", "0x1.0c152382d7367p+1"))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "build_mesh keeps both breakpoints, and the 8.9e-16 element between "
+    "them gives C_16 = 1.01438 (reflected: 1.01536) above the exact "
+    "C = bound_general = 1 without a SolverError"))
+@pytest.mark.parametrize("orient", [lambda w: w, reflected],
+                         ids=["as-drawn", "reflected"])
+def test_union_sliver_stays_below_the_bound(orient):
+    a, b = map(orient, UNION_SLIVER)
+    bound = bound_general(a, b)
+    assert best_constant(a, b, 16).constant <= bound * (1 + 1e-10)
 
 
 @given(pwc_weights(), pwc_weights(), mesh_sizes)

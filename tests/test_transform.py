@@ -75,8 +75,8 @@ def test_cov_sampled_map_roundtrip_and_lift():
 
 
 def test_sampled_cov_integrates_the_density_twice_at_most(monkeypatch):
-    # c = density.mean() makes the only antiderivative calls; the map and
-    # g's 4096-point construction probe read the density's cells
+    # c = density.mean(), the map and g's 4096-point construction probe
+    # all read the density's cells, so nothing calls antiderivative
     calls = []
     real_antiderivative = PeriodicWeight.antiderivative
 
@@ -87,7 +87,17 @@ def test_sampled_cov_integrates_the_density_twice_at_most(monkeypatch):
     monkeypatch.setattr(PeriodicWeight, "antiderivative", spy)
     transported_geometric_mean(
         build_cov(sine_family(4.0), PeriodicWeight.constant(1.0)))
-    assert len(calls) <= 2
+    assert calls == []
+
+
+def test_sampled_cov_is_the_antiderivative_of_the_density():
+    # tau and antiderivative integrate the same cells: for a = sine:4 the
+    # density sqrt(a / (1/a)) is a, so c tau(theta) is a's antiderivative
+    a = sine_family(4.0)
+    cov = build_cov(a, a.power(-1.0))
+    theta = np.linspace(-TWO_PI, 2 * TWO_PI, 10001)
+    gap = np.abs(cov.c * cov.forward(theta) - a.antiderivative(theta))
+    assert np.max(gap) / (TWO_PI * a.mean()) <= 1e-13
 
 
 def test_maps_continue_below_a_multiple_of_two_pi():
