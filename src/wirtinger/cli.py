@@ -3,7 +3,7 @@
 Reports are JSON with a versioned schema and deterministic float
 formatting (17 significant digits); function dumps go to CSV next to
 the report.  Exit codes: 2 for unparsable, missing or out-of-domain
-arguments, 3 for solver failures.
+arguments and for output that cannot be written, 3 for solver failures.
 """
 
 from __future__ import annotations
@@ -143,10 +143,6 @@ def _report_csv(report):
                    for line in [header, *table])
 
 
-def _flt(x):
-    return None if x is None else float(x)
-
-
 def _require_numbers(args, *names):
     """Reject a list option that was given empty or with a non-finite number."""
     for name in names:
@@ -183,9 +179,9 @@ def _cmd_solve(args):
     if args.n_list:
         res = spectral.converge(a, b, args.n_list)
         return {"constant": res.constant, "lambda1": res.lambda1,
-                "estimated_order": _flt(res.estimated_order),
+                "estimated_order": res.estimated_order,
                 "constraint_residual": res.residual,
-                "convergence_table": [list(row) for row in res.history]}
+                "convergence_table": res.history}
     res = spectral.best_constant(a, b, args.n)
     return {"constant": res.constant, "lambda1": res.lambda1,
             "nodes": res.n, "constraint_residual": res.residual}
@@ -201,16 +197,14 @@ def _cmd_extremal(args):
         profile = sharpness.extremal_fn_pq(args.M, args.p, args.q,
                                            mu_mode=args.mu_mode)
     theta = np.arange(args.samples) * (TWO_PI / args.samples)
-    wv = np.asarray(profile.weight.eval(theta))
-    fv = np.asarray(profile.fn(theta))
     csv_path = (args.out or "extremal") + ".fn.csv"
     with open(csv_path, "w") as fh:
         fh.write("theta,weight,extremal_fn\n")
-        for t, w, f in zip(theta, wv, fv):
+        for t, w, f in zip(theta, profile.weight.eval(theta),
+                           profile.fn(theta)):
             fh.write(f"{t:.17g},{w:.17g},{f:.17g}\n")
     return {"family": args.family,
-            "constants": {k: (v if isinstance(v, str) else float(v))
-                          for k, v in profile.constants.items()},
+            "constants": profile.constants,
             "samples": args.samples, "csv": csv_path}
 
 
@@ -226,8 +220,8 @@ def _cmd_verify(args):
     pair, report, results = _verify_row(parse_weight(args.gamma), args.p,
                                         args.q, args.n)
     is_sharp, phase, residual = sharpness.sharpness_characterization(
-        pair.a, pair.b, cross_check=False)
-    results.update(estimated_order=_flt(report.estimated_order),
+        pair.a, pair.b)
+    results.update(estimated_order=report.estimated_order,
                    characterization={"is_sharp": is_sharp, "phase": phase,
                                      "residual": residual})
     if pair.p + pair.q > 0:
@@ -397,14 +391,16 @@ def run(args):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        report = run(args)
+        _emit(run(args), args)
     except ValueError as exc:  # WeightParseError or an out-of-domain number
         print(f"invalid argument: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # --out, or extremal's CSV, cannot be written
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args)
     return 0
 
 

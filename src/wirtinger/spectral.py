@@ -61,9 +61,7 @@ def build_mesh(a, b, n):
         raise ValueError("mesh requires n >= 8")
     base = np.linspace(0.0, TWO_PI, n, endpoint=False)
     tol = 1e-9 * (TWO_PI / n)
-    bp = np.union1d(a.breakpoints, b.breakpoints)
-    if bp.size == 0:
-        return Mesh(nodes=base)
+    bp = np.unique(np.concatenate(([0.0], a.breakpoints, b.breakpoints)))
     # keep breakpoints verbatim, drop uniform nodes that (circularly)
     # collide; only a node's circular neighbours among the sorted
     # breakpoints can (bp[0] == 0, and bp[-1] wraps around)
@@ -204,7 +202,6 @@ def best_constant(a, b, n=2048):
     if eb.sup / float(mesh.lengths.min()) > sys.float_info.max:
         raise SolverError("the stiffness matrix of b overflows a float on "
                           f"this mesh (ess sup b = {eb.sup:.3g})")
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     stiff, mass = assemble(a, b, mesh)
     mass.data = np.ldexp(mass.data, -2 * i)
@@ -226,10 +223,9 @@ def best_constant(a, b, n=2048):
     k = min(6, m - 2)
     try:
         # K and M share one pattern, so this is scipy's stiff - sigma * mass,
-        # which drops exact zeros (on copies: K keeps its pattern)
-        shifted = sp.csc_matrix((stiff.data - sigma * mass.data,
-                                 stiff.indices, stiff.indptr),
-                                shape=stiff.shape, copy=True)
+        # which drops exact zeros (on a copy: K keeps its pattern)
+        shifted = stiff.copy()
+        shifted.data -= sigma * mass.data
         shifted.eliminate_zeros()
         lu = spla.splu(shifted)
         # eigsh calls the matvec of M and of OPinv on every Lanczos step;

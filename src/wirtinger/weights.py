@@ -230,12 +230,6 @@ class PeriodicWeight:
         out = n_per * cum[-1] + (cum[idx] + vals[idx] * (rem - edges[idx]))
         return match_scalar(theta, out)
 
-    def integrate(self, theta0, theta1):
-        """Integral of w over [theta0, theta1]; bounds must be ordered."""
-        if theta1 < theta0:
-            raise ValueError("integrate requires theta0 <= theta1")
-        return self.antiderivative(theta1) - self.antiderivative(theta0)
-
     def mean(self):
         """Average value over one period: the cells' total over 2pi."""
         return float(self.cells()[1][-1]) / TWO_PI

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 import wirtinger
 from wirtinger import PeriodicWeight
-from wirtinger.cli import WeightParseError, main, parse_angle, parse_weight
+from wirtinger.cli import (WeightParseError, _json, main, parse_angle,
+                           parse_weight)
 from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
 from wirtinger.spectral import SolverError
 
@@ -169,6 +172,27 @@ def test_non_finite_extremal_writes_no_file(argv, tmp_path, monkeypatch,
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("invalid argument:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--a", "const:1", "--b", "const:1"],
+    ["extremal", "--family", "ps", "--samples", "8"],
+], ids=["bound", "extremal"])
+def test_unwritable_out_exit_code(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # bound's handler ran, so its wall-time line comes first
+    [line] = [line for line in captured.err.splitlines()
+              if not line.startswith("wall-time:")]
+    assert line.startswith("cannot write output:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_rejects_an_unknown_type():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _json(object())
 
 
 def test_sweep_row_whose_bound_overflows_is_an_error_cell(capsys):
@@ -380,7 +404,8 @@ def test_extremal_csv_roundtrip(tmp_path):
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     theta, weight = rows[:, 0], rows[:, 1]
     rebuilt = PeriodicWeight.piecewise(theta, weight)
-    assert rebuilt.integrate(0, TWO_PI) == pytest.approx(5 * math.pi, rel=1e-6)
+    assert rebuilt.antiderivative(TWO_PI) == pytest.approx(5 * math.pi,
+                                                         rel=1e-6)
 
 
 def test_sweep_rows_in_input_order(capsys):
@@ -547,3 +572,19 @@ def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
     assert err.startswith("solver error: ess sup b / min(1, ess inf a)")
     for name in ("e.json", "e.json.fn.csv"):
         assert (cold_dir / name).read_bytes() == (warm_dir / name).read_bytes()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    # every `wirtinger ...` line of README's sh blocks, trailing comment
+    # dropped, exits 0
+    blocks = re.findall(r"```sh\n(.*?)```", README, flags=re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.splitlines()
+                if line.startswith("wirtinger ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)

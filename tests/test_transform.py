@@ -345,6 +345,27 @@ def test_substitution_vanishing_first_moment_stays_finite():
     assert all(np.isfinite(res)) and res[1] <= 1e-8
 
 
+def test_substitution_of_the_zero_function_is_exact():
+    # every scale is 0, so each identity reads 0 = 0
+    one = PeriodicWeight.constant(1.0)
+    res = substitution_check(build_cov(one, one), np.zeros_like,
+                             np.zeros_like)
+    assert res == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("breakpoints,values,slopes,message", [
+    ([0.5, 1.0], [0.0, 1.0], [1.0, 1.0], "fix the origin"),
+    ([0.0], [0.0], [0.0], "slopes must be positive"),
+    ([0.0], [0.0], [2.0], r"carry \[0, 2pi\)"),
+    ([0.0, 1.0], [0.0, 2.0], [1.0, (TWO_PI - 2.0) / (TWO_PI - 1.0)],
+     "break continuity"),
+], ids=["origin", "slope", "period", "continuity"])
+def test_piecewise_linear_map_rejects_invalid_maps(breakpoints, values,
+                                                   slopes, message):
+    with pytest.raises(ValueError, match=message):
+        transform.PiecewiseLinearMap(breakpoints, values, slopes)
+
+
 def _dense_functional_eq_residual(g):
     """functional_eq_residual written out over its lattice (reference).
 

@@ -69,22 +69,17 @@ def test_power_zero_is_constant_one():
 def test_integrate_bar_a_exact():
     abar = extremal_weight_ps(4.0)
     # step quadrature: 1*pi + 4*pi
-    assert abar.integrate(0.0, TWO_PI) == pytest.approx(5 * math.pi, rel=1e-15)
-    assert PeriodicWeight.constant(1.0).integrate(0, TWO_PI) == pytest.approx(TWO_PI)
+    assert abar.antiderivative(TWO_PI) == pytest.approx(5 * math.pi, rel=1e-15)
+    assert PeriodicWeight.constant(1.0).antiderivative(TWO_PI) == pytest.approx(TWO_PI)
 
 
 def test_antiderivative_bar_a():
     abar = extremal_weight_ps(4.0)
     assert abar.antiderivative(math.pi) == pytest.approx(5 * math.pi / 2, rel=1e-15)
     # period extension rule
-    total = abar.integrate(0, TWO_PI)
+    total = abar.antiderivative(TWO_PI)
     assert abar.antiderivative(1.0 + TWO_PI) == pytest.approx(
         abar.antiderivative(1.0) + total, rel=1e-14)
-
-
-def test_integrate_rejects_reversed_bounds():
-    with pytest.raises(ValueError):
-        PeriodicWeight.constant(1.0).integrate(1.0, 0.5)
 
 
 def test_mean_examples():
@@ -100,6 +95,17 @@ def test_positivity_rejected_at_construction():
         PeriodicWeight.piecewise([0.0, 1.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         PeriodicWeight.from_callable(lambda th: np.sin(th) + 1.0)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: PeriodicWeight("step"), "unknown weight kind"),
+    (lambda: PeriodicWeight("sampled_closed_form"), "requires an evaluator"),
+    (lambda: PeriodicWeight.piecewise([0.0, 1.0], [1.0]),
+     "one value per breakpoint"),
+], ids=["kind", "evaluator", "values"])
+def test_malformed_weight_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_breakpoint_validation():
@@ -140,20 +146,10 @@ def test_power_roundtrip_property(values, r):
     assert np.allclose(back.eval(probes), w.eval(probes), rtol=1e-12)
 
 
-@given(st.floats(0, TWO_PI), st.floats(0, TWO_PI), st.floats(0, TWO_PI))
-@settings(max_examples=50, deadline=None)
-def test_integrate_additivity_property(t0, t1, t2):
-    t0, t1, t2 = sorted((t0, t1, t2))
-    abar = extremal_weight_ps(4.0)
-    total = abar.integrate(t0, t2)
-    split = abar.integrate(t0, t1) + abar.integrate(t1, t2)
-    assert split == pytest.approx(total, rel=1e-12, abs=1e-12)
-
-
 def test_piecewise_integrate_is_exact():
     w = PeriodicWeight.piecewise([0.0, 1.0, 2.5, 4.0], [2.0, 3.0, 0.5, 1.5])
     expected = 2.0 * 1.0 + 3.0 * 1.5 + 0.5 * 1.5 + 1.5 * (TWO_PI - 4.0)
-    assert w.integrate(0, TWO_PI) == pytest.approx(expected, rel=1e-15)
+    assert w.antiderivative(TWO_PI) == pytest.approx(expected, rel=1e-15)
 
 
 def test_probe_runs_once_without_declared_bounds():
