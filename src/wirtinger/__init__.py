@@ -12,8 +12,7 @@ from .spectral import (Mesh, SolverError, SpectralResult, assemble,
                        rayleigh_quotient)
 from .sharpness import (BoundReport, ExtremalProfile, PowerWeightPair,
                         bound_general, bound_power, closed_form_pq0,
-                        extremal_fn_pq, extremal_fn_ps, extremal_weight_pq,
-                        extremal_weight_ps, mu_constant,
+                        extremal_fn_pq, extremal_weight_pq, mu_constant,
                         sharpness_characterization, verify_sharpness)
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "Mesh", "SolverError", "SpectralResult", "assemble", "best_constant",
     "build_mesh", "converge", "rayleigh_quotient",
     "BoundReport", "ExtremalProfile", "PowerWeightPair", "bound_general",
-    "bound_power", "closed_form_pq0", "extremal_fn_pq", "extremal_fn_ps",
-    "extremal_weight_pq", "extremal_weight_ps", "mu_constant",
-    "sharpness_characterization", "verify_sharpness",
+    "bound_power", "closed_form_pq0", "extremal_fn_pq", "extremal_weight_pq",
+    "mu_constant", "sharpness_characterization", "verify_sharpness",
 ]

@@ -147,29 +147,13 @@ def _extremal_fn(M, p, q, mu):
     return fn, fn_prime
 
 
-def extremal_weight_ps(L):
-    """Equal-weight square wave: 1 on [0,pi/2) and [pi,3pi/2), L elsewhere.
-
-    The p = q = 1 member of the power family (c_pq = 1).
-    """
-    if L < 1.0:
-        raise ValueError("extremal weight requires L >= 1")
-    return _square_wave(L, 1.0, 1.0)
-
-
-def extremal_fn_ps(L):
-    """Extremal function of the equal-weight square wave, with lambda = mu."""
-    weight = extremal_weight_ps(L)
-    mu = mu_constant(L, 1.0, 1.0)
-    fn, fn_prime = _extremal_fn(L, 1.0, 1.0, mu)
-    return ExtremalProfile(weight=weight, fn=fn, fn_prime=fn_prime,
-                           constants={"lambda": mu})
-
-
 def extremal_weight_pq(M, p, q):
-    """Extremal gamma for the power-weight bound."""
-    if M <= 1.0:
-        raise ValueError("extremal family requires M > 1")
+    """Extremal gamma for the power-weight bound, for M >= 1.
+
+    M = 1 gives the constant weight, p = q = 1 the equal-weight square wave.
+    """
+    if M < 1.0:
+        raise ValueError("extremal family requires M >= 1")
     if p + q <= 0:
         raise ValueError("extremal family requires p + q > 0")
     return _square_wave(M, p, q)

@@ -56,13 +56,18 @@ class SpectralResult:
 
 
 def build_mesh(a, b, n):
-    """Uniform n-node periodic mesh augmented with all weight breakpoints."""
+    """Uniform n-node periodic mesh plus weight breakpoints, slivers merged."""
     if n < 8:
         raise ValueError("mesh requires n >= 8")
     base = np.linspace(0.0, TWO_PI, n, endpoint=False)
     tol = 1e-9 * (TWO_PI / n)
     bp = np.unique(np.concatenate(([0.0], a.breakpoints, b.breakpoints)))
-    # keep breakpoints verbatim, drop uniform nodes that (circularly)
+    # merge slivers: drop each breakpoint within tol of its predecessor,
+    # then the last one if it is within tol of 2pi (node 0, circularly)
+    bp = bp[np.append(True, np.diff(bp) > tol)]
+    if TWO_PI - bp[-1] <= tol:
+        bp = bp[:-1]
+    # keep the remaining breakpoints, drop uniform nodes that (circularly)
     # collide; only a node's circular neighbours among the sorted
     # breakpoints can (bp[0] == 0, and bp[-1] wraps around)
     right = np.searchsorted(bp, base)
@@ -86,7 +91,7 @@ def _element_entries(a, b, mesh):
     kdiag[e] * [[1, -1], [-1, 1]] and its mass block [[m00, m01], [m01,
     m11]].  Per-element 4-point Gauss quadrature; exact whenever the
     weights are constant on each element, which mesh construction
-    guarantees for piecewise-constant weights.
+    guarantees for piecewise-constant weights up to merged slivers.
     """
     h = mesh.lengths
     pts = (mesh.nodes[:, None] + h[:, None] * _GP[None, :]).ravel()

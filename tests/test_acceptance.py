@@ -11,10 +11,10 @@ import numpy as np
 
 from wirtinger import (PeriodicWeight, PowerWeightPair, best_constant,
                        build_cov, c_pq, closed_form_pq0, converge,
-                       extremal_fn_pq, extremal_weight_pq, extremal_weight_ps,
-                       h_pq, h_pq_inv, rayleigh_quotient,
-                       sharpness_characterization, sine_family,
-                       transported_geometric_mean, verify_sharpness)
+                       extremal_fn_pq, extremal_weight_pq, h_pq, h_pq_inv,
+                       rayleigh_quotient, sharpness_characterization,
+                       sine_family, transported_geometric_mean,
+                       verify_sharpness)
 from wirtinger.cli import main
 
 TWO_PI = 2 * math.pi
@@ -48,7 +48,7 @@ def test_criterion_2_square_wave_equality():
     details = []
     ok = True
     for L in (2.0, 4.0, 10.0):
-        abar = extremal_weight_ps(L)
+        abar = extremal_weight_pq(L, 1.0, 1.0)
         res = converge(abar, abar, N_LIST)
         target = ps_oracle(L)
         rel = abs(res.constant - target) / target
@@ -87,7 +87,7 @@ def test_criterion_4_strictness_for_sine_family():
 def test_criterion_5_reciprocal_pair_closed_form():
     details = []
     ok = True
-    for name, a in (("bar-a(4)", extremal_weight_ps(4.0)),
+    for name, a in (("bar-a(4)", extremal_weight_pq(4.0, 1.0, 1.0)),
                     ("sine(4)", sine_family(4.0))):
         b = a.power(-1.0)
         res = converge(a, b, N_LIST)
@@ -102,10 +102,11 @@ def test_criterion_5_reciprocal_pair_closed_form():
 
 def test_criterion_6_transform_invariance():
     pairs = [
-        ("bar-a/bar-a", extremal_weight_ps(4.0), extremal_weight_ps(4.0)),
+        ("bar-a/bar-a", extremal_weight_pq(4.0, 1.0, 1.0),
+         extremal_weight_pq(4.0, 1.0, 1.0)),
         ("bar-gamma/1", extremal_weight_pq(4.0, 1.0, 0.0), ONE),
-        ("bar-a/inv", extremal_weight_ps(4.0),
-         extremal_weight_ps(4.0).power(-1.0)),
+        ("bar-a/inv", extremal_weight_pq(4.0, 1.0, 1.0),
+         extremal_weight_pq(4.0, 1.0, 1.0).power(-1.0)),
         ("sine/1", sine_family(4.0), ONE),
         ("sine/sine", sine_family(3.0), sine_family(2.0)),
     ]

@@ -16,7 +16,7 @@ import wirtinger
 from wirtinger import PeriodicWeight
 from wirtinger.cli import (WeightParseError, _json, main, parse_angle,
                            parse_weight)
-from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
+from wirtinger.sharpness import extremal_weight_pq
 from wirtinger.spectral import SolverError
 
 TWO_PI = 2 * math.pi
@@ -37,14 +37,14 @@ def test_parse_weight_const():
 
 def test_parse_weight_bar_a():
     w = parse_weight("bar-a:4")
-    ref = extremal_weight_ps(4.0)
+    ref = extremal_weight_pq(4.0, 1.0, 1.0)
     probes = np.linspace(0.01, TWO_PI, 37)
     assert np.allclose(w.eval(probes), ref.eval(probes))
 
 
 def test_parse_weight_pwc_pi_literals():
     w = parse_weight("pwc:0=1,0.5pi=4,1pi=1,1.5pi=4")
-    ref = extremal_weight_ps(4.0)
+    ref = extremal_weight_pq(4.0, 1.0, 1.0)
     assert np.allclose(w.breakpoints, ref.breakpoints)
     assert np.allclose(w.values, ref.values)
 
@@ -117,14 +117,14 @@ def test_parse_error_exit_code(capsys):
     ["bound", "--gamma", "bar-gamma:4,1,0", "--p", "-2", "--q", "1"],
     ["solve", "--a", "const:1", "--b", "const:1", "--n", "4"],
     ["solve", "--a", "const:1", "--b", "const:1", "--n-list", "64,32,128"],
-    ["extremal", "--family", "pq", "--M", "1"],
+    ["extremal", "--family", "pq", "--M", "0.5"],
     ["bound", "--gamma", "bar-gamma:4,1,0", "--p", "1"],
     ["bound", "--gamma", "bar-gamma:4,1,0", "--q", "0"],
     ["bound", "--a", "bar-a:4"],
     ["bound"],
     ["extremal", "--family", "pq", "--samples", "0"],
     ["extremal", "--family", "ps", "--samples", "-5"],
-    ["transform-check", "--a", "const:1", "--b", "const:1", "--count", "-3"],
+    ["extremal", "--family", "ps", "--L", "0.5"],
     ["bound", "--a", "const:nan", "--b", "const:1"],
     ["bound", "--a", "const:inf", "--b", "const:1"],
     ["bound", "--a", "sine:inf", "--b", "const:1"],
@@ -309,7 +309,7 @@ def test_sweep_L_row_whose_solve_fails_is_an_error_cell(capsys):
 def test_sweep_L_below_1_is_an_error_cell(capsys):
     assert main(["sweep", "--L-list", "0.5,4", "--n", "64"]) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
-    assert rows[0] == {"L": 0.5, "error": "extremal weight requires L >= 1"}
+    assert rows[0] == {"L": 0.5, "error": "extremal family requires M >= 1"}
     assert list(rows[1]) == ["L", "bound", "computed", "relative_gap",
                              "sharp"]
 
@@ -358,6 +358,32 @@ def test_eigenpair_residual_failure_exit_code(perturbed_eigsh, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("solver error: eigenpair residual")
+
+
+@pytest.mark.parametrize("argv,allocator", [
+    (["solve", "--a", "const:1", "--b", "const:1", "--n", "99999999999"],
+     "linspace"),
+    (["extremal", "--family", "pq", "--samples", "99999999999"], "arange"),
+], ids=["solve", "extremal"])
+def test_out_of_memory_exit_code(argv, allocator, tmp_path, monkeypatch,
+                                 capsys):
+    # numpy raises its _ArrayMemoryError, a MemoryError, for arrays this
+    # long; the stand-in raises it before anything is allocated
+    real = getattr(np, allocator)
+
+    def refuse(*args, **kwargs):
+        if any(isinstance(x, int) and x > 10 ** 9 for x in args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, allocator, refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "out of memory: Unable to allocate 745. GiB for an array"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_below_32_names_its_own_limit(capsys):
@@ -419,34 +445,35 @@ def test_sweep_rows_in_input_order(capsys):
 
 def test_transform_check_command(capsys):
     rc = main(["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
-               "--count", "3", "--seed", "1"])
+               "--seed", "1"])
     assert rc == 0
     res = json.loads(capsys.readouterr().out)["results"]
+    assert list(res) == ["c", "substitution_residuals", "cov_roundtrip_error"]
     assert res["c"] == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert max(res["substitution_residuals"]) <= 1e-6
-    assert res["h_pq_worst_error"] <= 1e-10
+    assert res["cov_roundtrip_error"] <= 1e-10
 
 
 # sha256 of every file each command writes; the extremal reports embed
 # their relative CSV path, so the bytes do not depend on the directory
 GOLDEN = [
     (["extremal", "--family", "ps", "--L", "1"], {
-        "out.json": "5c803f1e6ce3a47a1c67a27e56824aad3115b2c69fcf3bdcf2aceed8d0fabc6e",
+        "out.json": "2d85117c827d7a999452d1432fd0cc6fa639420933a778c9c7f88b986987bb4a",
         "out.json.fn.csv": "309381bac3b4bd94ca456a11e9031a3d2c26d0806984a1df5e944e31ca2a82dc"}),
     (["extremal", "--family", "ps", "--L", "4"], {
-        "out.json": "ba7a9255ab7841282308eb6f4aff7469c64c2af6a176b9b28f5129b3c9d1f637",
+        "out.json": "605900fb8836c13826bfa4072fb200488492dde04e055709333245a81c408edc",
         "out.json.fn.csv": "f4d8b33b7454b535be7980532a721cbb989bfdafbf53362f7a023309a2f21ff8"}),
     (["extremal", "--family", "pq", "--M", "4", "--p", "1", "--q", "0"], {
         "out.json": "e60575dbda8cd1ad2c634ec36c064c5cf79ffd7cd2fd85b47d9ee48af725eccc",
         "out.json.fn.csv": "b397b67909e4a830cb355c2b8630156d98ad03896be1628c6c476db1431913d6"}),
     (["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1"], {
-        "out.json": "c15e7f77f8bad05f7a60be225d6a8231d5fae119647c62bdcb1f2946175b2a01"}),
+        "out.json": "7560a6a0570c2b654c88e4a0f1fad666d0edcc0406088f48719c120dd3adb365"}),
     (["transform-check", "--a", "pwc:0=1,1=3,2.5=2,4=5", "--b", "bar-a:2"], {
-        "out.json": "c420f9b6bc89d6adf4470a4c9e8092cfe2524c92b844b08f305c749c7d45165a"}),
+        "out.json": "3e9458eaf552fac1aaa3844bc465ee0848dd6c0c4bf4ec1c9077ce71b74422f7"}),
     (["transform-check", "--a", "sine:4", "--b", "const:1"], {
-        "out.json": "173c4f779042a243425c800f9549df9dd8d8e84047a20e457611279f9764b193"}),
+        "out.json": "a01289fbbe57fdfc5add29f6842eb8e5948e5a09da127587707d9aab135c2f47"}),
     (["transform-check", "--a", "sine:4", "--b", "pwc:0=1,1=3,2.5=2,4=5"], {
-        "out.json": "1b17d1ce733e07b3a75e89e80a3caf3c5a72828e4e981b36f1a65ad08ddf62dd"}),
+        "out.json": "d5bfc34cc6f910a1b359cf84512d427cefe0a33698761924994270887a18a3ac"}),
     (["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"], {
         "out.json": "d1f23b4b9d2d5345df43bb717948a1c0bb5549a3d679938ccd593359d43b58ae"}),
 ]
@@ -471,12 +498,12 @@ def _csv_rows(capsys, argv):
 
 def test_csv_sweep_header_covers_every_row(capsys):
     # the first row is an error row; the second must keep its numbers
-    rows = _csv_rows(capsys, ["sweep", "--M-list", "1,4", "--p-list", "1",
+    rows = _csv_rows(capsys, ["sweep", "--M-list", "0.5,4", "--p-list", "1",
                               "--q-list", "0", "--n", "128"])
     assert rows[0] == ["M", "p", "q", "error", "bound", "computed",
                        "relative_gap", "sharp"]
     errored, verified = (dict(zip(rows[0], row)) for row in rows[1:])
-    assert errored["error"] == "extremal family requires M > 1"
+    assert errored["error"] == "extremal family requires M >= 1"
     assert errored["sharp"] == "null" and verified["error"] == "null"
     assert verified["sharp"] == "true"
     assert float(verified["computed"]) == pytest.approx(2.895, abs=2e-3)
@@ -559,7 +586,7 @@ def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
              ["extremal", "--family", "pq", "--M", "4", "--p", "1",
               "--q", "0", "--samples", "64", "--out", "e.json"],
              ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
-              "--count", "2", "--seed", "1"],
+              "--seed", "1"],
              too_large]
     cold = json.loads(_cold_python(_NO_SCIPY_RUN, json.dumps(argvs),
                                    cwd=cold_dir))

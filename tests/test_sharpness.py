@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, PowerWeightPair, bound_general,
                        bound_power, closed_form_pq0, converge, extremal_fn_pq,
-                       extremal_fn_ps, extremal_weight_pq, extremal_weight_ps,
-                       mu_constant, rayleigh_quotient,
+                       extremal_weight_pq, mu_constant, rayleigh_quotient,
                        sharpness_characterization, sine_family,
                        verify_sharpness)
 
 TWO_PI = 2 * math.pi
 ONE = PeriodicWeight.constant(1.0)
-ABAR = extremal_weight_ps(4.0)
+ABAR = extremal_weight_pq(4.0, 1.0, 1.0)
 PS_CONSTANT = ((4 / math.pi) * math.atan(4 ** -0.5)) ** -2
 
 
@@ -107,8 +106,8 @@ def test_extremal_weight_ps_values():
 
 
 def test_extremal_fn_ps_classical_limit():
-    prof = extremal_fn_ps(1.0)
-    assert prof.constants["lambda"] == pytest.approx(1.0, rel=1e-14)
+    prof = extremal_fn_pq(1.0, 1.0, 1.0)
+    assert prof.constants["mu"] == pytest.approx(1.0, rel=1e-14)
     probes = np.linspace(0, TWO_PI, 33)
     assert np.allclose(prof.fn(probes), np.sin(probes - math.pi / 4),
                        atol=1e-12)
@@ -116,8 +115,8 @@ def test_extremal_fn_ps_classical_limit():
 
 def test_extremal_fn_ps_continuity_identity():
     # continuity at pi/2 encodes tan(sqrt(lambda) pi/4) = L^(-1/2)
-    prof = extremal_fn_ps(4.0)
-    lam = prof.constants["lambda"]
+    prof = extremal_fn_pq(4.0, 1.0, 1.0)
+    lam = prof.constants["mu"]
     assert math.tan(math.sqrt(lam) * math.pi / 4) == pytest.approx(0.5, rel=1e-14)
     left = one_sided(prof.fn, prof.fn_prime, math.pi / 2, -1)
     right = one_sided(prof.fn, prof.fn_prime, math.pi / 2, +1)
@@ -125,9 +124,9 @@ def test_extremal_fn_ps_continuity_identity():
 
 
 def test_extremal_fn_ps_attains_quotient():
-    prof = extremal_fn_ps(4.0)
+    prof = extremal_fn_pq(4.0, 1.0, 1.0)
     q, resid = rayleigh_quotient(ABAR, ABAR, prof.fn, prof.fn_prime)
-    assert q == pytest.approx(1.0 / prof.constants["lambda"], rel=1e-10)
+    assert q == pytest.approx(1.0 / prof.constants["mu"], rel=1e-10)
     assert resid <= 1e-8
 
 
@@ -149,19 +148,21 @@ def test_extremal_weight_pq_equal_exponents_match_bar_a():
 
 
 def test_extremal_weight_pq_rejects_bad_params():
-    with pytest.raises(ValueError):
-        extremal_weight_pq(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"requires M >= 1"):
+        extremal_weight_pq(0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         extremal_weight_pq(4.0, 1.0, -1.0)
 
 
-def test_extremal_fn_pq_equal_exponents_reduce_to_ps():
-    prof_pq = extremal_fn_pq(4.0, 1.0, 1.0)
-    prof_ps = extremal_fn_ps(4.0)
-    assert prof_pq.constants["mu"] == pytest.approx(
-        prof_ps.constants["lambda"], rel=1e-14)
-    probes = np.linspace(0, TWO_PI, 1000, endpoint=False)
-    assert np.max(np.abs(prof_pq.fn(probes) - prof_ps.fn(probes))) <= 1e-12
+def test_extremal_weight_pq_at_M_1_is_the_constant_weight():
+    # the classical Wirtinger case: gamma = 1 whatever p and q, and C = 1
+    for p, q in ((1.0, 1.0), (1.0, 0.0), (0.5, 2.0)):
+        gam = extremal_weight_pq(1.0, p, q)
+        bounds = gam.ess_bounds()
+        assert (bounds.inf, bounds.sup) == (1.0, 1.0)
+        report = verify_sharpness(PowerWeightPair.create(gam, p, q), n=128)
+        assert report.bound == pytest.approx(1.0, rel=1e-15)
+        assert report.sharp
 
 
 def test_extremal_fn_pq_near_classical_limit():

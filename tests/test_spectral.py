@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
                        build_cov, build_mesh, converge, rayleigh_quotient,
                        sine_family, transported_geometric_mean)
-from wirtinger.sharpness import (closed_form_pq0, extremal_fn_ps,
-                                 extremal_weight_pq, extremal_weight_ps)
+from wirtinger.sharpness import (closed_form_pq0, extremal_fn_pq,
+                                 extremal_weight_pq)
 from wirtinger.spectral import _GP, _GW, Mesh, SolverError
 
 TWO_PI = 2 * math.pi
 ONE = PeriodicWeight.constant(1.0)
-ABAR = extremal_weight_ps(4.0)
+ABAR = extremal_weight_pq(4.0, 1.0, 1.0)
 # breakpoints 1 and 4 are off every uniform grid
 PWC_P = PeriodicWeight.piecewise([0.0, 1.0, 2.5, 4.0], [1.0, 3.0, 2.0, 5.0])
 
@@ -55,6 +56,12 @@ def _dense_mesh_nodes(a, b, n):
     if not bps:
         return base
     bp = np.unique(np.concatenate(bps))
+    # build_mesh's sliver merge: a breakpoint within tol of the one before
+    # it goes, and then the last one if it is within tol of 2pi
+    merged = [bp[0]] + [x for prev, x in zip(bp, bp[1:]) if x - prev > tol]
+    if TWO_PI - merged[-1] <= tol:
+        merged.pop()
+    bp = np.array(merged)
     keep = np.empty(n, dtype=bool)
     for rows in np.array_split(np.arange(n), max(1, n // 512)):
         # row blocks keep the n x #breakpoints temporaries small
@@ -80,15 +87,17 @@ def test_build_mesh_matches_dense_on_uniform_nodes():
 
 def test_build_mesh_matches_dense_on_near_collisions():
     # within tol of uniform nodes, on both sides and across the wrap:
-    # 2pi - 1e-14 collides with node 0 circularly
+    # 2pi - 1e-14 is within tol of 2pi, so it merges into 0
     n = 2048
     base = np.linspace(0.0, TWO_PI, n, endpoint=False)
     near = [base[100] + 1e-13, base[700] - 1e-13, base[1500] + 1e-13,
             base[1900] - 1e-13, TWO_PI - 1e-14]
     w = PeriodicWeight.piecewise(near, [1.0, 2.0, 3.0, 4.0, 5.0])
     nodes = _assert_mesh_matches_dense(w, ONE, n)
-    # five uniform nodes dropped, six breakpoints (0 included) kept
-    assert nodes.size == n + 1
+    # five uniform nodes dropped (node 0 among them), five breakpoints
+    # (0 included) kept
+    assert nodes.size == n
+    assert nodes[-1] < TWO_PI - 1e-3
     assert not np.any(np.isin(base[[100, 700, 1500, 1900]], nodes))
 
 
@@ -254,7 +263,7 @@ def test_rayleigh_quotient_rejects_a_constant_function():
 
 
 def test_rayleigh_quotient_extremal_attains():
-    prof = extremal_fn_ps(4.0)
+    prof = extremal_fn_pq(4.0, 1.0, 1.0)
     q, resid = rayleigh_quotient(ABAR, ABAR, prof.fn, prof.fn_prime)
     assert q == pytest.approx(PS_CONSTANT, rel=1e-6)
     assert resid <= 1e-8
@@ -262,7 +271,7 @@ def test_rayleigh_quotient_extremal_attains():
 
 def test_rayleigh_quotient_extremal_golden_values():
     # float.hex of the Gauss-panel quotient and its constraint residual
-    prof = extremal_fn_ps(4.0)
+    prof = extremal_fn_pq(4.0, 1.0, 1.0)
     q, resid = rayleigh_quotient(ABAR, ABAR, prof.fn, prof.fn_prime)
     assert (float(q).hex(), float(resid).hex()) == (
         "0x1.6f4b3b3dcbe10p+1", "0x0.0p+0")
@@ -499,22 +508,83 @@ def test_reflection_invariance_property(a, b, n):
     assert mirrored == pytest.approx(base, rel=1e-9)
 
 
+SLIVER_BREAKPOINTS = [float.fromhex(x) for x in ("0x1.0c152382d7365p+1",
+                                                  "0x1.0c152382d7367p+1")]
 #: two constant-1 weights whose breakpoints lie 2 ulps apart
-UNION_SLIVER = tuple(
-    PeriodicWeight.piecewise([0.0, float.fromhex(x)], [1.0, 1.0])
-    for x in ("0x1.0c152382d7365p+1", "0x1.0c152382d7367p+1"))
+UNION_SLIVER = tuple(PeriodicWeight.piecewise([0.0, x], [1.0, 1.0])
+                     for x in SLIVER_BREAKPOINTS)
+#: the same breakpoints, a = 1 then 3 and b = 1 then 2
+VALUES_3_2 = tuple(PeriodicWeight.piecewise([0.0, x], [1.0, v])
+                   for x, v in zip(SLIVER_BREAKPOINTS, (3.0, 2.0)))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "build_mesh keeps both breakpoints, and the 8.9e-16 element between "
-    "them gives C_16 = 1.01438 (reflected: 1.01536) above the exact "
-    "C = bound_general = 1 without a SolverError"))
 @pytest.mark.parametrize("orient", [lambda w: w, reflected],
                          ids=["as-drawn", "reflected"])
 def test_union_sliver_stays_below_the_bound(orient):
+    # left unmerged, the 8.9e-16 element between the breakpoints gives
+    # C_16 = 1.01438 (reflected: 1.01536), above the exact C = 1
     a, b = map(orient, UNION_SLIVER)
     bound = bound_general(a, b)
     assert best_constant(a, b, 16).constant <= bound * (1 + 1e-10)
+
+
+def oracle_lambda(a, b, n):
+    """lambda_h on build_mesh(a, b, n), in 40-digit arithmetic.
+
+    K and M are assembled in mpmath from the float nodes, each element's
+    midpoint weight values and an exact 2pi, never from the float
+    matrices, whose rounded diagonal sums break K 1 = 0.  M is
+    Cholesky-reduced, and lambda_h is the second-smallest eigenvalue.
+    The dense eigensolve is O(m^3), so m stays at a few dozen.
+    """
+    mesh = build_mesh(a, b, n)
+    mids = mesh.nodes + mesh.lengths / 2
+    av, bv = a.eval(mids), b.eval(mids)
+    m = mesh.n
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(t) for t in mesh.nodes]
+        x.append(x[0] + 2 * mpmath.pi)
+        K, M = mpmath.zeros(m), mpmath.zeros(m)
+        for e in range(m):
+            i, j = e, (e + 1) % m
+            h = x[e + 1] - x[e]
+            k, w = mpmath.mpf(bv[e]) / h, mpmath.mpf(av[e]) * h / 6
+            K[i, i] += k
+            K[j, j] += k
+            K[i, j] -= k
+            K[j, i] -= k
+            M[i, i] += 2 * w
+            M[j, j] += 2 * w
+            M[i, j] += w
+            M[j, i] += w
+        Linv = mpmath.inverse(mpmath.cholesky(M))
+        return mpmath.eigsy(Linv * K * Linv.T, eigvals_only=True)[1]
+
+
+ORACLE_CELLS = [
+    pytest.param(ABAR, ABAR, 32, id="bar-a:4-32"),
+    pytest.param(extremal_weight_pq(1e6, 1.0, 1.0),
+                 extremal_weight_pq(1e6, 1.0, 1.0), 32, id="bar-a:1e6-32",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "lambda_1 loses digits to the cancellation in K: "
+                     "8.3e-10 off the oracle (the gradient-form quotient, "
+                     "item 1 of ROADMAP.md)"))),
+] + [
+    pytest.param(*map(orient, pair), n, id=f"{name}-{orient_id}-{n}")
+    for name, pair in (("union-sliver", UNION_SLIVER),
+                       ("values-3-2", VALUES_3_2))
+    for orient, orient_id in ((lambda w: w, "as-drawn"),
+                              (reflected, "reflected"))
+    for n in (16, 32)
+]
+
+
+@pytest.mark.parametrize("a,b,n", ORACLE_CELLS)
+def test_best_constant_matches_the_extended_precision_oracle(a, b, n):
+    # every mesh here has m <= 34 nodes
+    oracle = oracle_lambda(a, b, n)
+    lam = best_constant(a, b, n).lambda1
+    assert float(abs(lam - oracle) / oracle) <= 1e-12
 
 
 @given(pwc_weights(), pwc_weights(), mesh_sizes)

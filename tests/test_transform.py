@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from wirtinger import (PeriodicWeight, build_cov, c_pq, functional_eq_residual,
                        h_pq, h_pq_inv, sine_family, substitution_check,
                        transform, transported_geometric_mean)
-from wirtinger.sharpness import (extremal_fn_ps, extremal_weight_pq,
-                                 extremal_weight_ps)
+from wirtinger.sharpness import extremal_fn_pq, extremal_weight_pq
 from wirtinger.transform import N_PHASES, N_PROBES, _phase_scan
 
 TWO_PI = 2 * math.pi
@@ -23,7 +22,7 @@ def _bar_a_pattern(tau, L):
 
 
 def test_identity_cov_for_equal_weights():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     cov = build_cov(abar, abar)
     assert cov.c == pytest.approx(1.0, rel=1e-14)
     probes = np.linspace(-5, 10, 101)
@@ -32,7 +31,7 @@ def test_identity_cov_for_equal_weights():
 
 def test_cov_squared_bar_a():
     # a = abar^2, b = 1: density is abar itself, c = mean(abar) = 5/2
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     cov = build_cov(abar.power(2.0), PeriodicWeight.constant(1.0))
     assert cov.c == pytest.approx(2.5, rel=1e-14)
     assert list(cov.forward.slopes) == pytest.approx([0.4, 1.6, 0.4, 1.6])
@@ -104,7 +103,7 @@ def test_maps_continue_below_a_multiple_of_two_pi():
     # just under a multiple of 2pi, x - 2pi floor(x/2pi) can round below 0;
     # the first cell continues there instead of the last cell being read
     one = PeriodicWeight.constant(1.0)
-    abar_sq = extremal_weight_ps(4.0).power(2.0)
+    abar_sq = extremal_weight_pq(4.0, 1.0, 1.0).power(2.0)
     cov = build_cov(abar_sq, one)
     for f in (one.antiderivative, abar_sq.antiderivative, cov.forward,
               cov.inverse):
@@ -129,7 +128,7 @@ def test_transported_gm_constant():
 
 
 def test_transported_gm_equal_weights_is_identity_pattern():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     g = transported_geometric_mean(build_cov(abar, abar))
     probes = np.linspace(0.01, TWO_PI, 97)
     assert np.allclose(g.eval(probes), abar.eval(probes))
@@ -141,7 +140,7 @@ def test_transported_gm_gamma_bar_collapses_to_bar_a():
     gam = extremal_weight_pq(4.0, 1.0, 0.0)
     cov = build_cov(gam, PeriodicWeight.constant(1.0))
     g = transported_geometric_mean(cov)
-    expected = extremal_weight_ps(2.0)
+    expected = extremal_weight_pq(2.0, 1.0, 1.0)
     assert np.allclose(g.breakpoints, expected.breakpoints, atol=1e-13)
     assert np.allclose(g.values, expected.values)
 
@@ -153,8 +152,8 @@ def test_substitution_identity_transform():
 
 
 def test_substitution_bar_a_extremal():
-    abar = extremal_weight_ps(4.0)
-    prof = extremal_fn_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
+    prof = extremal_fn_pq(4.0, 1.0, 1.0)
     res = substitution_check(build_cov(abar, abar), prof.fn, prof.fn_prime)
     assert max(res) <= 1e-6
 
@@ -212,7 +211,7 @@ def test_h_pq_rejects_nonpositive_p_plus_q():
 
 
 def test_functional_eq_residual_sharp_cases():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     res, phase = functional_eq_residual(
         transported_geometric_mean(build_cov(abar, abar)))
     assert res <= 1e-12
@@ -271,7 +270,7 @@ def test_phase_scan_matches_dense_on_grid_rotations():
     (extremal_weight_pq(4.0, 1.0, 0.0), PeriodicWeight.constant(1.0)),
     (extremal_weight_pq(9.0, 1.0, 1.0),
      extremal_weight_pq(9.0, 1.0, 1.0)),
-    (extremal_weight_ps(4.0), extremal_weight_ps(4.0)),
+    (extremal_weight_pq(4.0, 1.0, 1.0), extremal_weight_pq(4.0, 1.0, 1.0)),
     (sine_family(4.0), PeriodicWeight.constant(1.0)),
 ])
 def test_phase_scan_matches_dense_on_verify_pairs(a, b):
@@ -319,8 +318,8 @@ def _random_pwc():
 
 
 @pytest.mark.parametrize("make_g,residual,phase", [
-    (lambda: transported_geometric_mean(build_cov(extremal_weight_ps(4.0),
-                                                  extremal_weight_ps(4.0))),
+    (lambda: transported_geometric_mean(build_cov(
+        extremal_weight_pq(4.0, 1.0, 1.0), extremal_weight_pq(4.0, 1.0, 1.0))),
      "0x0.0p+0", "0x0.0p+0"),
     (lambda: transported_geometric_mean(build_cov(
         extremal_weight_pq(4.0, 1.0, 0.0), PeriodicWeight.constant(1.0))),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirtinger import PeriodicWeight, PowerWeightPair, product, sine_family
-from wirtinger.sharpness import extremal_weight_pq, extremal_weight_ps
+from wirtinger.sharpness import extremal_weight_pq
 from wirtinger.weights import PROBE_POINTS
 
 TWO_PI = 2 * math.pi
@@ -18,7 +18,7 @@ def test_eval_constant_total():
 
 
 def test_eval_bar_a_cases_and_periodicity():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     assert abar.eval(math.pi / 2) == 4.0
     assert abar.eval(math.pi / 2 + TWO_PI) == 4.0
     assert abar.eval(0.0) == 1.0
@@ -27,7 +27,7 @@ def test_eval_bar_a_cases_and_periodicity():
 
 
 def test_ess_bounds_bar_a():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     cm = abar.ess_bounds()
     assert (cm.inf, cm.sup) == (1.0, 4.0)
     pair = PowerWeightPair.create(abar, 1.0, 1.0)
@@ -52,7 +52,7 @@ def test_ess_bounds_sine_family():
 
 
 def test_power_pointwise():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     inv = abar.power(-1.0)
     assert list(inv.values) == [1.0, 0.25, 1.0, 0.25]
     sqrt_gam = extremal_weight_pq(4.0, 1.0, 0.0).power(0.5)
@@ -67,14 +67,14 @@ def test_power_zero_is_constant_one():
 
 
 def test_integrate_bar_a_exact():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     # step quadrature: 1*pi + 4*pi
     assert abar.antiderivative(TWO_PI) == pytest.approx(5 * math.pi, rel=1e-15)
     assert PeriodicWeight.constant(1.0).antiderivative(TWO_PI) == pytest.approx(TWO_PI)
 
 
 def test_antiderivative_bar_a():
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     assert abar.antiderivative(math.pi) == pytest.approx(5 * math.pi / 2, rel=1e-15)
     # period extension rule
     total = abar.antiderivative(TWO_PI)
@@ -84,7 +84,8 @@ def test_antiderivative_bar_a():
 
 def test_mean_examples():
     assert PeriodicWeight.constant(1.0).mean() == pytest.approx(1.0)
-    assert extremal_weight_ps(4.0).mean() == pytest.approx(2.5, rel=1e-15)
+    assert extremal_weight_pq(4.0, 1.0, 1.0).mean() == pytest.approx(
+        2.5, rel=1e-15)
     # gamma_bar(M=4, p=1, q=0)^(1/2): value 1 on measure 4pi/3, 2 on 2pi/3
     half = extremal_weight_pq(4.0, 1.0, 0.0).power(0.5)
     assert half.mean() == pytest.approx(4.0 / 3.0, rel=1e-14)
@@ -125,7 +126,7 @@ def test_wrapped_leading_segment():
 @given(st.floats(-50, 50), st.integers(-3, 3))
 @settings(max_examples=50, deadline=None)
 def test_periodicity_property(theta, k):
-    abar = extremal_weight_ps(4.0)
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
     # adding 2*pi*k is not exact in floats; skip the measure-zero
     # neighborhoods of the jump points where rounding can cross a jump
     gap = min(abs(math.remainder(theta - b, TWO_PI))
@@ -192,7 +193,7 @@ def test_sampled_product_golden_values():
     lambda: PeriodicWeight.from_callable(
         lambda th: np.where(th < 1.0, 1.0, math.inf)),
     lambda: sine_family(math.inf),
-    lambda: extremal_weight_ps(math.nan),
+    lambda: extremal_weight_pq(math.nan, 1.0, 1.0),
     lambda: extremal_weight_pq(math.nan, 1.0, 0.0),
 ], ids=["const-nan", "const-inf", "pwc-nan-breakpoint", "pwc-inf-value",
         "declared-inf", "declared-nan", "sampled-nan", "sampled-inf",
