@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import PANELS, TWO_PI, PeriodicWeight, split_panels
+from .weights import (GAUSS_NODES, GAUSS_WEIGHTS, PANELS, TWO_PI,
+                      PeriodicWeight, panel_quadrature)
 
 
 class SolverError(RuntimeError):
@@ -78,12 +79,6 @@ def build_mesh(a, b, n):
     return Mesh(nodes=np.unique(np.concatenate((base[keep], bp))))
 
 
-# 4-point Gauss-Legendre on [0, 1]; exact for per-element-constant weights
-_GP, _GW = np.polynomial.legendre.leggauss(4)
-_GP = 0.5 * (_GP + 1.0)
-_GW = 0.5 * _GW
-
-
 def _element_entries(a, b, mesh):
     """Per-element stiffness and local mass entries (kdiag, m00, m01, m11).
 
@@ -94,46 +89,47 @@ def _element_entries(a, b, mesh):
     guarantees for piecewise-constant weights up to merged slivers.
     """
     h = mesh.lengths
-    pts = (mesh.nodes[:, None] + h[:, None] * _GP[None, :]).ravel()
+    pts = (mesh.nodes[:, None] + h[:, None] * GAUSS_NODES[None, :]).ravel()
     av = np.asarray(a.eval(pts)).reshape(-1, 4)
     bv = np.asarray(b.eval(pts)).reshape(-1, 4)
-    phi0 = 1.0 - _GP
-    phi1 = _GP
+    phi0, phi1 = 1.0 - GAUSS_NODES, GAUSS_NODES
     # local mass entries: h * sum_k gw_k a_k phi_i(x_k) phi_j(x_k)
-    m00 = h * (av @ (_GW * phi0 * phi0))
-    m01 = h * (av @ (_GW * phi0 * phi1))
-    m11 = h * (av @ (_GW * phi1 * phi1))
+    m00 = h * (av @ (GAUSS_WEIGHTS * phi0 * phi0))
+    m01 = h * (av @ (GAUSS_WEIGHTS * phi0 * phi1))
+    m11 = h * (av @ (GAUSS_WEIGHTS * phi1 * phi1))
     # local stiffness: (1/h) * sum_k gw_k b_k on the [[1,-1],[-1,1]] stencil
-    return (bv @ _GW) / h, m00, m01, m11
+    return (bv @ GAUSS_WEIGHTS) / h, m00, m01, m11
 
 
 def _cyclic_csc(d0, off, d1):
     """Canonical CSC of the sum of the element blocks [[d0, off], [off, d1]].
 
-    Element e joins nodes e and e+1 (mod m), so column j holds d0[j] and
-    d1[j-1] at row j and off[j-1], off[j] at rows j-1, j+1.  scipy's
-    `sum_duplicates` sums these four entries in place: for m >= 3 that
-    leaves the cyclic tridiagonal, for m < 3 the overlapping blocks,
-    summed in the order a COO scatter of the blocks sums them.
+    Element e joins nodes e and e+1 (mod m), m >= 3, so the sum is cyclic
+    tridiagonal: column j holds off[j-1], d0[j] + d1[j-1] and off[j] at
+    rows j-1, j and j+1 (mod m); only the first and last columns wrap,
+    and sorting puts their rows in order.
     """
     import scipy.sparse as sp
     m = d0.size
     j = np.arange(m, dtype=np.int32)
-    rows = np.stack((j, j - 1, j + 1, j), axis=1) % m
-    data = np.stack((d0, np.roll(off, 1), off, np.roll(d1, 1)), axis=1)
+    rows = np.stack((j - 1, j, j + 1), axis=1) % m
+    data = np.stack((np.roll(off, 1), d0 + np.roll(d1, 1), off), axis=1)
     mat = sp.csc_matrix((data.ravel(), rows.ravel(),
-                         np.arange(0, 4 * m + 1, 4, dtype=np.int32)),
+                         np.arange(0, 3 * m + 1, 3, dtype=np.int32)),
                         shape=(m, m))
-    mat.sum_duplicates()
+    mat.sort_indices()
+    mat.has_canonical_format = True
     return mat
 
 
 def assemble(a, b, mesh):
     """Stiffness (from b) and mass (from a) matrices on the periodic mesh.
 
-    Both are canonical CSC; for m >= 3 nodes they are cyclic tridiagonal
-    and share one sparsity pattern.
+    Both are canonical CSC, cyclic tridiagonal, with one sparsity
+    pattern; the mesh needs at least 3 nodes (ValueError otherwise).
     """
+    if mesh.n < 3:
+        raise ValueError("assemble requires a mesh of at least 3 nodes")
     kdiag, m00, m01, m11 = _element_entries(a, b, mesh)
     return _cyclic_csc(kdiag, -kdiag, kdiag), _cyclic_csc(m00, m01, m11)
 
@@ -293,14 +289,10 @@ def rayleigh_quotient(a, b, w, wprime):
     """Quotient int a w^2 / int b w'^2 plus the constraint residual.
 
     `w` and its analytic derivative `wprime` are vectorized callables,
-    integrated by 4-point Gauss on PANELS panels that never straddle a
-    breakpoint of a or b.
+    integrated by `panel_quadrature` cut at the breakpoints of a and b.
     """
-    lefts, _, widths = split_panels([a.breakpoints, b.breakpoints], PANELS)
-    pts = (lefts[:, None] + widths[:, None] * _GP[None, :]).ravel()
-    gw = (widths[:, None] * _GW[None, :]).ravel()
-    av = np.asarray(a.eval(pts))
-    bv = np.asarray(b.eval(pts))
+    pts, gw = panel_quadrature([a.breakpoints, b.breakpoints], PANELS)
+    av, bv = a.eval(pts), b.eval(pts)
     wv = np.asarray(w(pts), dtype=float)
     wpv = np.asarray(wprime(pts), dtype=float)
     num = float(np.sum(gw * av * wv**2))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (PROBE_GRID, TWO_PI, PeriodicWeight, match_scalar,
-                      product, split_panels, sqrt_ratio)
+from .weights import (PANELS, PROBE_GRID, TWO_PI, PeriodicWeight,
+                      match_scalar, panel_quadrature, product, sqrt_ratio)
 
 #: probe points and grid phases of the functional-equation residual; the
 #: probes are the odd half of PROBE_GRID, the midpoints (i + 1/2) 2pi/N_PROBES,
@@ -116,23 +116,19 @@ def transported_geometric_mean(cov):
         g, declared_bounds=(math.sqrt(gb.inf), math.sqrt(gb.sup)))
 
 
-#: midpoint panels per period on each side of the substitution identities
-SUBSTITUTION_PANELS = 4096
-
-
 def substitution_check(cov, w, wprime):
     """Relative residuals of the three substitution identities.
 
     Checks int a w^2 dtheta = c int g xi^2 dtau, the same for the first
     moment, and int b w'^2 dtheta = (1/c) int g xi'^2 dtau, with
     xi(tau) = w(theta(tau)) and g the transported geometric mean.  Both
-    sides are computed by breakpoint-aligned midpoint quadrature with
-    SUBSTITUTION_PANELS panels per period.
+    sides are `panel_quadrature` at PANELS, cut at the breakpoints of a
+    and b and at their images under tau: at roundoff for piecewise-constant
+    weights, at the error of build_cov's midpoint surrogate otherwise.
     """
     a, b, c = cov.a, cov.b, cov.c
     bps = [a.breakpoints, b.breakpoints]
-    lo, hi, dth = split_panels(bps, SUBSTITUTION_PANELS)
-    th = 0.5 * (lo + hi)
+    th, dth = panel_quadrature(bps, PANELS)
     av, bv = a.eval(th), b.eval(th)
     wv = np.asarray(w(th), dtype=float)
     wpv = np.asarray(wprime(th), dtype=float)
@@ -141,9 +137,7 @@ def substitution_check(cov, w, wprime):
                     np.sum(bv * wpv**2 * dth)])
     scales = np.array([lhs[0], np.sum(av * np.abs(wv) * dth), lhs[2]])
 
-    lo, hi, dtau = split_panels([cov.forward(bp) for bp in bps],
-                                SUBSTITUTION_PANELS)
-    tau = 0.5 * (lo + hi)
+    tau, dtau = panel_quadrature([cov.forward(bp) for bp in bps], PANELS)
     th_of_tau = cov.inverse(tau)
     g = np.sqrt(np.asarray(a.eval(th_of_tau)) * np.asarray(b.eval(th_of_tau)))
     xi = np.asarray(w(th_of_tau), dtype=float)

@@ -31,6 +31,10 @@ PANELS = 2048
 #: edges of the closed-form quadrature panels, shared by every weight
 _GRID_EDGES = np.linspace(0.0, TWO_PI, PANELS + 1)
 
+#: 4-point Gauss-Legendre on [0, 1], the rule of every element and panel
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
+GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (GAUSS_NODES + 1.0), 0.5 * GAUSS_WEIGHTS
+
 #: the breakpoints of every sampled weight
 _NO_BREAKPOINTS = np.empty(0)
 _NO_BREAKPOINTS.setflags(write=False)
@@ -235,24 +239,24 @@ class PeriodicWeight:
         return float(self.cells()[1][-1]) / TWO_PI
 
 
-def split_panels(breakpoints, panels):
-    """Split [0, 2pi] into panels that never straddle a breakpoint.
+def panel_quadrature(breakpoints, panels):
+    """4-point Gauss on panels of [0, 2pi] that never straddle a breakpoint.
 
     `breakpoints` is a sequence of angle arrays; those in [0, 2pi] cut the
     period, and each piece of length l between cuts gets
-    max(1, ceil(panels * l / 2pi)) equal panels.  Returns the panels'
-    left edges, right edges and widths.
+    max(1, ceil(panels * l / 2pi)) equal panels.  Returns the Gauss
+    points and weights of all the panels, as two flat arrays.
     """
     cuts = np.unique(np.concatenate([[0.0, TWO_PI], *breakpoints]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= TWO_PI)]
-    lefts, rights, widths = [], [], []
+    lefts, widths = [], []
     for left, right in zip(cuts[:-1], cuts[1:]):
         k = max(1, int(math.ceil(panels * (right - left) / TWO_PI)))
-        edges = np.linspace(left, right, k + 1)
-        lefts.append(edges[:-1])
-        rights.append(edges[1:])
+        lefts.append(np.linspace(left, right, k + 1)[:-1])
         widths.append(np.full(k, (right - left) / k))
-    return np.concatenate(lefts), np.concatenate(rights), np.concatenate(widths)
+    lefts, widths = np.concatenate(lefts), np.concatenate(widths)
+    return ((lefts[:, None] + widths[:, None] * GAUSS_NODES).ravel(),
+            (widths[:, None] * GAUSS_WEIGHTS).ravel())
 
 
 def _derived(breakpoints, values, name):

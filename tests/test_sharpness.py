@@ -46,6 +46,20 @@ def test_bound_general_reciprocal_pair():
     assert bound_general(ABAR, ABAR.power(-1.0)) == pytest.approx(6.25, rel=1e-14)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "sqrt(a/b) of a sampled and a piecewise-constant weight has no "
+    "breakpoints, so its mean comes from 2048 uniform midpoint panels "
+    "that straddle b's jumps, an O(h) error: the bound is 7.1e-5 "
+    "relative too high (item 14 of ROADMAP.md)"))
+def test_bound_general_mixed_pair_integrates_across_jumps():
+    # the numerator, the mean of sqrt(a/b), by mpmath.quad split at b's
+    # jumps 1, 2.5 and 4 is 1.0016554186435162; over the bound's own
+    # denominator it gives 1.7806771135241133 (the code: 1.780803523972949)
+    b = PeriodicWeight.piecewise([0.0, 1.0, 2.5, 4.0], [1.0, 3.0, 2.0, 5.0])
+    assert bound_general(sine_family(4.0), b) == pytest.approx(
+        1.7806771135241133, rel=1e-10)
+
+
 def test_bound_power_trivial():
     pair = PowerWeightPair.create(ABAR, 0.0, 0.0)
     assert bound_power(pair) == pytest.approx(1.0, rel=1e-15)
