@@ -10,6 +10,8 @@ and for running out of memory.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import math
@@ -124,14 +126,8 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _csv_cell(text):
-    """Quote a cell per RFC 4180 only when it holds a comma or a newline."""
-    if "," in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _report_csv(report):
+    """Rows, or else key/value lines, of cells in JSON text (keys bare)."""
     rows = report["results"].get("rows")
     if rows:
         # rows may differ in their keys (a sweep row can hold "error")
@@ -140,8 +136,9 @@ def _report_csv(report):
     else:
         header = ["key", "value"]
         table = [[k, _json(v)] for k, v in report["results"].items()]
-    return "".join(",".join(map(_csv_cell, line)) + "\n"
-                   for line in [header, *table])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *table])
+    return out.getvalue()
 
 
 def _require_numbers(args, *names):

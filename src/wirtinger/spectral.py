@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weights import (GAUSS_NODES, GAUSS_WEIGHTS, PANELS, TWO_PI,
-                      PeriodicWeight, panel_quadrature)
+                      PeriodicWeight, panel_quadrature, weighted_moments)
 
 
 class SolverError(RuntimeError):
@@ -292,13 +292,8 @@ def rayleigh_quotient(a, b, w, wprime):
     integrated by `panel_quadrature` cut at the breakpoints of a and b.
     """
     pts, gw = panel_quadrature([a.breakpoints, b.breakpoints], PANELS)
-    av, bv = a.eval(pts), b.eval(pts)
-    wv = np.asarray(w(pts), dtype=float)
-    wpv = np.asarray(wprime(pts), dtype=float)
-    num = float(np.sum(gw * av * wv**2))
-    den = float(np.sum(gw * bv * wpv**2))
-    mom = float(np.sum(gw * av * wv))
-    absmom = float(np.sum(gw * av * np.abs(wv)))
+    num, mom, absmom, den = weighted_moments(gw, a.eval(pts), b.eval(pts),
+                                             w(pts), wprime(pts))
     if den <= 1e-14 * num:
         raise ValueError("input has (numerically) zero derivative")
     return num / den, abs(mom) / absmom

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weights import (PANELS, PROBE_GRID, TWO_PI, PeriodicWeight,
-                      match_scalar, panel_quadrature, product, sqrt_ratio)
+                      panel_quadrature, periodic_lift, product, sqrt_ratio,
+                      weighted_moments)
 
 #: probe points and grid phases of the functional-equation residual; the
 #: probes are the odd half of PROBE_GRID, the midpoints (i + 1/2) 2pi/N_PROBES,
@@ -55,16 +56,8 @@ class PiecewiseLinearMap:
         self.slopes = sl
 
     def __call__(self, x):
-        xv = np.asarray(x, dtype=float)
-        n_per = np.floor(xv / TWO_PI)
-        rem = xv - TWO_PI * n_per
-        # rem rounds slightly below 0 just under a multiple of 2pi; the
-        # first interval continues linearly there
-        idx = np.maximum(
-            np.searchsorted(self.breakpoints, rem, side="right") - 1, 0)
-        out = (TWO_PI * n_per + self.values[idx]
-               + self.slopes[idx] * (rem - self.breakpoints[idx]))
-        return match_scalar(x, out)
+        return periodic_lift(x, self.breakpoints, self.values, self.slopes,
+                             TWO_PI)
 
     def inverse(self):
         """Exact inverse map (also piecewise linear)."""
@@ -129,24 +122,18 @@ def substitution_check(cov, w, wprime):
     a, b, c = cov.a, cov.b, cov.c
     bps = [a.breakpoints, b.breakpoints]
     th, dth = panel_quadrature(bps, PANELS)
-    av, bv = a.eval(th), b.eval(th)
-    wv = np.asarray(w(th), dtype=float)
-    wpv = np.asarray(wprime(th), dtype=float)
-    lhs = np.array([np.sum(av * wv**2 * dth),
-                    np.sum(av * wv * dth),
-                    np.sum(bv * wpv**2 * dth)])
-    scales = np.array([lhs[0], np.sum(av * np.abs(wv) * dth), lhs[2]])
+    sq, mom, absmom, grad = weighted_moments(dth, a.eval(th), b.eval(th),
+                                             w(th), wprime(th))
+    lhs, scales = (sq, mom, grad), (sq, absmom, grad)
 
     tau, dtau = panel_quadrature([cov.forward(bp) for bp in bps], PANELS)
     th_of_tau = cov.inverse(tau)
     g = np.sqrt(np.asarray(a.eval(th_of_tau)) * np.asarray(b.eval(th_of_tau)))
-    xi = np.asarray(w(th_of_tau), dtype=float)
     # chain rule: theta'(tau) = c / sqrt(a/b) at theta(tau)
     theta_slope = c / np.asarray(cov.density.eval(th_of_tau))
-    xip = np.asarray(wprime(th_of_tau), dtype=float) * theta_slope
-    rhs = np.array([c * np.sum(g * xi**2 * dtau),
-                    c * np.sum(g * xi * dtau),
-                    np.sum(g * xip**2 * dtau) / c])
+    sq, mom, _, grad = weighted_moments(dtau, c * g, g / c, w(th_of_tau),
+                                        wprime(th_of_tau) * theta_slope)
+    rhs = (sq, mom, grad)
 
     residuals = []
     for lv, rv, sc in zip(lhs, rhs, scales):

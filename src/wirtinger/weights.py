@@ -224,19 +224,38 @@ class PeriodicWeight:
         exact for piecewise-constant weights, and for closed forms that
         of the PANELS-panel midpoint surrogate, as in `build_cov`.
         """
-        th = np.asarray(theta, dtype=float)
-        n_per = np.floor(th / TWO_PI)
-        rem = th - TWO_PI * n_per
         edges, cum, vals = self.cells()
-        # rem rounds slightly below 0 just under a multiple of 2pi; the
-        # first cell continues linearly there
-        idx = np.maximum(np.searchsorted(edges, rem, side="right") - 1, 0)
-        out = n_per * cum[-1] + (cum[idx] + vals[idx] * (rem - edges[idx]))
-        return match_scalar(theta, out)
+        return periodic_lift(theta, edges, cum, vals, cum[-1])
 
     def mean(self):
         """Average value over one period: the cells' total over 2pi."""
         return float(self.cells()[1][-1]) / TWO_PI
+
+
+def periodic_lift(x, breakpoints, values, slopes, rise):
+    """A piecewise-linear function on [0, 2pi), lifted with `rise` per period.
+
+    On [0, 2pi) it is values[i] + slopes[i] (x - breakpoints[i]) on the
+    piece that starts at breakpoints[i], the first of which is 0.
+    """
+    xv = np.asarray(x, dtype=float)
+    n_per = np.floor(xv / TWO_PI)
+    rem = xv - TWO_PI * n_per
+    # rem rounds slightly below 0 just under a multiple of 2pi; the first
+    # piece continues linearly there
+    idx = np.maximum(np.searchsorted(breakpoints, rem, side="right") - 1, 0)
+    out = n_per * rise + (values[idx] + slopes[idx] * (rem - breakpoints[idx]))
+    return match_scalar(x, out)
+
+
+def weighted_moments(gw, av, bv, wv, wpv):
+    """The sums of gw a w^2, gw a w, gw a |w| and gw b w'^2, as floats.
+
+    gw are quadrature weights; av, bv, wv, wpv are a, b, w, w' there."""
+    wv, wpv = np.asarray(wv, dtype=float), np.asarray(wpv, dtype=float)
+    return (float(np.sum(gw * av * wv**2)), float(np.sum(gw * av * wv)),
+            float(np.sum(gw * av * np.abs(wv))),
+            float(np.sum(gw * bv * wpv**2)))
 
 
 def panel_quadrature(breakpoints, panels):

@@ -471,13 +471,13 @@ GOLDEN = [
         "out.json": "e60575dbda8cd1ad2c634ec36c064c5cf79ffd7cd2fd85b47d9ee48af725eccc",
         "out.json.fn.csv": "b397b67909e4a830cb355c2b8630156d98ad03896be1628c6c476db1431913d6"}),
     (["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1"], {
-        "out.json": "5f1f226d273c3da528bf1e9afe65a3d67154dc3f07f29e572ad1cc2ab52c3dfc"}),
+        "out.json": "692e78056944e357e78bd1f76be25019f646d6c6c51496fa8d873f82cef6889c"}),
     (["transform-check", "--a", "pwc:0=1,1=3,2.5=2,4=5", "--b", "bar-a:2"], {
-        "out.json": "f0aa459fad4c00710979b83966b873333779c27d321b3977ebc64994dc343892"}),
+        "out.json": "b2144161e902181c011cf981275b45f38c3af47387c90de4d583e6ebb18f860a"}),
     (["transform-check", "--a", "sine:4", "--b", "const:1"], {
-        "out.json": "d95825aff3b6855eef406e68eec8dea46aad689a7856b8c5695a7b8158f566f4"}),
+        "out.json": "9286ca95d1e6e62fa7d399cb3c83576d62335d4f9325c1203091b13fe2c7f79f"}),
     (["transform-check", "--a", "sine:4", "--b", "pwc:0=1,1=3,2.5=2,4=5"], {
-        "out.json": "60f5ea3c1271138b0a2d20ba8714e45f076fab611656706693112df973e1c9d7"}),
+        "out.json": "b09f17facc59b2347148d613c642a08b0590cfbcc98887d02bd51a0ab2da754b"}),
     (["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"], {
         "out.json": "d1f23b4b9d2d5345df43bb717948a1c0bb5549a3d679938ccd593359d43b58ae"}),
 ]
@@ -507,10 +507,32 @@ def test_csv_sweep_header_covers_every_row(capsys):
     assert rows[0] == ["M", "p", "q", "error", "bound", "computed",
                        "relative_gap", "sharp"]
     errored, verified = (dict(zip(rows[0], row)) for row in rows[1:])
-    assert errored["error"] == "extremal family requires M >= 1"
+    assert json.loads(errored["error"]) == "extremal family requires M >= 1"
     assert errored["sharp"] == "null" and verified["error"] == "null"
     assert verified["sharp"] == "true"
     assert float(verified["computed"]) == pytest.approx(2.895, abs=2e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gamma-family", "sine", "--M-list", "1e160,0.5,4",
+     "--p-list", "1", "--q-list", "0", "--n", "64"],
+    ["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1", "--q", "0",
+     "--n", "128"],
+], ids=["sweep", "verify"])
+def test_csv_cells_are_json_text(argv, capsys):
+    # the sweep's error cells hold a comma (row 1) and none (row 2); each
+    # decodes to the same string as in the JSON report
+    rows = _csv_rows(capsys, argv)
+    cells = ([row[1:] for row in rows[1:]] if rows[0] == ["key", "value"]
+             else rows[1:])
+    decoded = [[json.loads(cell) for cell in row] for row in cells]
+    assert main(argv) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    if "rows" in results:
+        assert decoded == [[row.get(k) for k in rows[0]]
+                           for row in results["rows"]]
+    else:
+        assert decoded == [[v] for v in results.values()]
 
 
 def test_csv_nested_cell_is_quoted(capsys):

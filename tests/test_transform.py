@@ -113,6 +113,20 @@ def test_maps_continue_below_a_multiple_of_two_pi():
         assert abs(f(-5e-324) - f(0.0)) <= 1e-12
 
 
+def test_cov_lift_golden_values():
+    # float.hex of tau and its inverse past one period on either side, where
+    # periodic_lift adds n 2pi to the in-period value
+    cov = build_cov(extremal_weight_pq(4.0, 1.0, 0.0),
+                    PeriodicWeight.constant(1.0))
+    probes = (-7.0, 13.0, 1e6)
+    assert [cov.forward(x).hex() for x in probes] == [
+        "-0x1.d6f0255dde974p+2", "0x1.9c87ed5110b46p+3",
+        "0x1.e847fa476acbcp+19"]
+    assert [cov.inverse(x).hex() for x in probes] == [
+        "-0x1.b0b53c6c1645dp+2", "0x1.a4a018e93f0f8p+3",
+        "0x1.e84803d063782p+19"]
+
+
 def test_forward_lift():
     cov = build_cov(extremal_weight_pq(4.0, 2.0, 1.0),
                     PeriodicWeight.constant(1.0))

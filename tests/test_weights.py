@@ -82,6 +82,15 @@ def test_antiderivative_bar_a():
         abar.antiderivative(1.0) + total, rel=1e-14)
 
 
+def test_antiderivative_lift_golden_values():
+    # float.hex past one period on either side, where periodic_lift adds
+    # n times the period's integral to the in-period value
+    abar = extremal_weight_pq(4.0, 1.0, 1.0)
+    assert [abar.antiderivative(x).hex() for x in (-7.0, 13.0, 1e6)] == [
+        "-0x1.29341c0666f17p+4", "0x1.fd97c7f3321d2p+4",
+        "0x1.312cfbb59018dp+21"]
+
+
 def test_mean_examples():
     assert PeriodicWeight.constant(1.0).mean() == pytest.approx(1.0)
     assert extremal_weight_pq(4.0, 1.0, 1.0).mean() == pytest.approx(
