@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (GAUSS_NODES, GAUSS_WEIGHTS, PANELS, TWO_PI,
-                      PeriodicWeight, panel_quadrature, weighted_moments)
+from .weights import (GAUSS_NODES, GAUSS_WEIGHTS, TWO_PI, PeriodicWeight,
+                      panel_quadrature, weighted_moments)
 
 
 class SolverError(RuntimeError):
@@ -291,7 +291,7 @@ def rayleigh_quotient(a, b, w, wprime):
     `w` and its analytic derivative `wprime` are vectorized callables,
     integrated by `panel_quadrature` cut at the breakpoints of a and b.
     """
-    pts, gw = panel_quadrature([a.breakpoints, b.breakpoints], PANELS)
+    pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])
     num, mom, absmom, den = weighted_moments(gw, a.eval(pts), b.eval(pts),
                                              w(pts), wprime(pts))
     if den <= 1e-14 * num:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (PANELS, PROBE_GRID, TWO_PI, PeriodicWeight,
-                      panel_quadrature, periodic_lift, product, sqrt_ratio,
-                      weighted_moments)
+from .weights import (PROBE_GRID, TWO_PI, PeriodicWeight, panel_quadrature,
+                      periodic_lift, product, sqrt_ratio, weighted_moments)
 
 #: probe points and grid phases of the functional-equation residual; the
 #: probes are the odd half of PROBE_GRID, the midpoints (i + 1/2) 2pi/N_PROBES,
@@ -99,14 +98,12 @@ def transported_geometric_mean(cov):
         g0 = product(a, b)
         tau_bp = cov.forward(g0.breakpoints)
         return PeriodicWeight.piecewise(tau_bp, np.sqrt(g0.values))
-    gb = product(a, b).ess_bounds()
 
     def g(tau):
         theta = cov.inverse(tau)
         return np.sqrt(np.asarray(a.eval(theta)) * np.asarray(b.eval(theta)))
 
-    return PeriodicWeight.from_callable(
-        g, declared_bounds=(math.sqrt(gb.inf), math.sqrt(gb.sup)))
+    return PeriodicWeight.from_callable(g)
 
 
 def substitution_check(cov, w, wprime):
@@ -115,18 +112,18 @@ def substitution_check(cov, w, wprime):
     Checks int a w^2 dtheta = c int g xi^2 dtau, the same for the first
     moment, and int b w'^2 dtheta = (1/c) int g xi'^2 dtau, with
     xi(tau) = w(theta(tau)) and g the transported geometric mean.  Both
-    sides are `panel_quadrature` at PANELS, cut at the breakpoints of a
+    sides are `panel_quadrature`, cut at the breakpoints of a
     and b and at their images under tau: at roundoff for piecewise-constant
     weights, at the error of build_cov's midpoint surrogate otherwise.
     """
     a, b, c = cov.a, cov.b, cov.c
     bps = [a.breakpoints, b.breakpoints]
-    th, dth = panel_quadrature(bps, PANELS)
+    th, dth = panel_quadrature(bps)
     sq, mom, absmom, grad = weighted_moments(dth, a.eval(th), b.eval(th),
                                              w(th), wprime(th))
     lhs, scales = (sq, mom, grad), (sq, absmom, grad)
 
-    tau, dtau = panel_quadrature([cov.forward(bp) for bp in bps], PANELS)
+    tau, dtau = panel_quadrature([cov.forward(bp) for bp in bps])
     th_of_tau = cov.inverse(tau)
     g = np.sqrt(np.asarray(a.eval(th_of_tau)) * np.asarray(b.eval(th_of_tau)))
     # chain rule: theta'(tau) = c / sqrt(a/b) at theta(tau)

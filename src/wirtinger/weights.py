@@ -60,28 +60,20 @@ class PeriodicWeight:
     any real angle is reduced modulo 2pi.  Piecewise-constant weights use
     the left-closed / right-open interval convention.
 
-    Breakpoints, values and declared bounds must be finite, and values
-    at least POSITIVITY_FLOOR.  A sampled closed form has no breakpoints
-    (an empty read-only array) and is evaluated once on PROBE_GRID at
-    construction; those samples must be finite and at least
-    POSITIVITY_FLOOR, and their extremes are its probed bounds.
+    Breakpoints and values must be finite, and values at least
+    POSITIVITY_FLOOR.  A sampled closed form has no breakpoints (an empty
+    read-only array) and is evaluated once on PROBE_GRID at construction;
+    those samples must be finite and at least POSITIVITY_FLOOR, and their
+    extremes are its range.
     """
 
-    __slots__ = ("kind", "breakpoints", "values", "evaluator",
-                 "declared_bounds", "_cells", "_range")
+    __slots__ = ("kind", "breakpoints", "values", "evaluator", "_cells",
+                 "_range")
 
-    def __init__(self, kind, breakpoints=None, values=None, evaluator=None,
-                 declared_bounds=None):
+    def __init__(self, kind, breakpoints=None, values=None, evaluator=None):
         if kind not in ("piecewise_constant", "sampled_closed_form"):
             raise ValueError(f"unknown weight kind {kind!r}")
         self.kind = kind
-        self.declared_bounds = None
-        if declared_bounds is not None:
-            lo, hi = float(declared_bounds[0]), float(declared_bounds[1])
-            if not (0.0 < lo <= hi < math.inf):
-                raise ValueError(
-                    "declared_bounds must be finite with 0 < inf <= sup")
-            self.declared_bounds = (lo, hi)
 
         if kind == "piecewise_constant":
             bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
@@ -115,14 +107,14 @@ class PeriodicWeight:
             self.values = None
             self.evaluator = evaluator
             self._cells = None
-            samples = self.eval(PROBE_GRID)
+            # an overflow or nan in the probe is rejected just below
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = self.eval(PROBE_GRID)
             if not np.all(np.isfinite(samples)):
                 raise ValueError("weight is not finite")
             if np.min(samples) < POSITIVITY_FLOOR:
                 raise ValueError("weight is not bounded away from zero")
-            samples = self.declared_bounds or samples
-        # exact range of a piecewise-constant weight; a closed form's
-        # declared bounds, else its probe
+        # exact range of a piecewise-constant weight; a closed form's probe
         self._range = (float(np.min(samples)), float(np.max(samples)))
 
     # -- constructors -------------------------------------------------
@@ -136,9 +128,9 @@ class PeriodicWeight:
         return PeriodicWeight("piecewise_constant", breakpoints, values)
 
     @staticmethod
-    def from_callable(fn, declared_bounds=None):
-        return PeriodicWeight("sampled_closed_form", evaluator=fn,
-                              declared_bounds=declared_bounds)
+    def from_callable(fn):
+        """The sampled weight fn(theta); its range is its probe extremes."""
+        return PeriodicWeight("sampled_closed_form", evaluator=fn)
 
     # -- evaluation ----------------------------------------------------
 
@@ -161,8 +153,9 @@ class PeriodicWeight:
         """Essential infimum/supremum, fixed at construction.
 
         Exact for piecewise-constant weights.  For closed forms the
-        declared bounds win when present, otherwise the extremes of the
-        PROBE_GRID samples are used.
+        extremes of the PROBE_GRID samples taken at construction: exact
+        for `sine_family`, whose extrema at pi/2 and 3pi/2 are grid
+        points, and for its monotone maps (`_map`).
         """
         return ClassMembership(*self._range)
 
@@ -174,20 +167,13 @@ class PeriodicWeight:
 
         As in `combine`, values that overflow a float are rejected; for a
         piecewise-constant weight the message calls the result the `name`
-        weight.
+        weight.  A sampled result's range is f of the same probe samples,
+        so a range attained on PROBE_GRID stays exact.
         """
         if self.kind == "piecewise_constant":
             return _derived(self.breakpoints, f(self.values), name)
         base = self.evaluator
-        bounds = None
-        if self.declared_bounds is not None:
-            try:
-                lo, hi = f(self.declared_bounds[0]), f(self.declared_bounds[1])
-            except OverflowError:
-                raise ValueError("weight is not finite") from None
-            bounds = (min(lo, hi), max(lo, hi))
-        return PeriodicWeight.from_callable(lambda th: f(base(th)),
-                                            declared_bounds=bounds)
+        return PeriodicWeight.from_callable(lambda th: f(base(th)))
 
     def power(self, r):
         """Pointwise power w(theta)**r as a new weight."""
@@ -258,19 +244,19 @@ def weighted_moments(gw, av, bv, wv, wpv):
             float(np.sum(gw * bv * wpv**2)))
 
 
-def panel_quadrature(breakpoints, panels):
+def panel_quadrature(breakpoints):
     """4-point Gauss on panels of [0, 2pi] that never straddle a breakpoint.
 
     `breakpoints` is a sequence of angle arrays; those in [0, 2pi] cut the
     period, and each piece of length l between cuts gets
-    max(1, ceil(panels * l / 2pi)) equal panels.  Returns the Gauss
+    max(1, ceil(PANELS * l / 2pi)) equal panels.  Returns the Gauss
     points and weights of all the panels, as two flat arrays.
     """
     cuts = np.unique(np.concatenate([[0.0, TWO_PI], *breakpoints]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= TWO_PI)]
     lefts, widths = [], []
     for left, right in zip(cuts[:-1], cuts[1:]):
-        k = max(1, int(math.ceil(panels * (right - left) / TWO_PI)))
+        k = max(1, int(math.ceil(PANELS * (right - left) / TWO_PI)))
         lefts.append(np.linspace(left, right, k + 1)[:-1])
         widths.append(np.full(k, (right - left) / k))
     lefts, widths = np.concatenate(lefts), np.concatenate(widths)
@@ -325,5 +311,4 @@ def sine_family(M):
     if M < 1.0:
         raise ValueError("sine family requires M >= 1")
     return PeriodicWeight.from_callable(
-        lambda th: 1.0 + (M - 1.0) * (1.0 + np.sin(th)) / 2.0,
-        declared_bounds=(1.0, M))
+        lambda th: 1.0 + (M - 1.0) * (1.0 + np.sin(th)) / 2.0)

@@ -128,6 +128,7 @@ def test_parse_error_exit_code(capsys):
     ["bound", "--a", "const:nan", "--b", "const:1"],
     ["bound", "--a", "const:inf", "--b", "const:1"],
     ["bound", "--a", "sine:inf", "--b", "const:1"],
+    ["bound", "--a", "sine:1e308", "--b", "const:1"],
     ["bound", "--a", "bar-a:inf", "--b", "const:1"],
     ["extremal", "--family", "ps", "--L", "nan"],
     ["extremal", "--family", "pq", "--M", "nan"],

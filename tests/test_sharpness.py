@@ -46,7 +46,7 @@ def test_bound_general_reciprocal_pair():
     assert bound_general(ABAR, ABAR.power(-1.0)) == pytest.approx(6.25, rel=1e-14)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "sqrt(a/b) of a sampled and a piecewise-constant weight has no "
     "breakpoints, so its mean comes from 2048 uniform midpoint panels "
     "that straddle b's jumps, an O(h) error: the bound is 7.1e-5 "

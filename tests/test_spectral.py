@@ -449,7 +449,7 @@ def shift_invert_solves(monkeypatch):
 @pytest.mark.parametrize("b", [
     ONE,
     pytest.param(PeriodicWeight.piecewise([0.0, 3.0], [1.0, 1e4]),
-                 marks=pytest.mark.xfail(strict=True, reason=(
+                 marks=pytest.mark.xfail(reason=(
                      "the trial shift -lambda_est/2 falls further below "
                      "lambda_1 as the contrast of b grows: 245 solves at "
                      "K = 1e4, 1142 at 1e5, and minutes of them at 1e8 "
@@ -577,18 +577,16 @@ ORACLE_CELLS = [
     pytest.param(ABAR, ABAR, 32, id="bar-a:4-32"),
     pytest.param(extremal_weight_pq(1e6, 1.0, 1.0),
                  extremal_weight_pq(1e6, 1.0, 1.0), 32, id="bar-a:1e6-32",
-                 marks=pytest.mark.xfail(strict=True, reason=(
+                 marks=pytest.mark.xfail(reason=(
                      "lambda_1 loses digits to the cancellation in K: "
                      "8.3e-10 off the oracle (the gradient-form quotient, "
                      "item 1 of ROADMAP.md)"))),
     pytest.param(ABAR, ABAR, 64, id="bar-a:4-64", marks=pytest.mark.slow),
     pytest.param(PIECE_1E9, PIECE_1E9.power(-1.0), 64, id="piece-1e-9-64",
-                 marks=[pytest.mark.slow, pytest.mark.xfail(
-                     strict=True, reason=(
-                         "lambda_1 loses digits to the cancellation in K "
-                         "across the 1e-9 piece: 1.5e-8 off the oracle "
-                         "(the gradient-form quotient, item 1 of "
-                         "ROADMAP.md)"))]),
+                 marks=[pytest.mark.slow, pytest.mark.xfail(reason=(
+                     "lambda_1 loses digits to the cancellation in K "
+                     "across the 1e-9 piece: 1.5e-8 off the oracle "
+                     "(the gradient-form quotient, item 1 of ROADMAP.md)"))]),
 ] + [
     pytest.param(*map(orient, pair), n, id=f"{name}-{orient_id}-{n}")
     for name, pair in (("union-sliver", UNION_SLIVER),

@@ -41,14 +41,18 @@ def test_ess_bounds_constant_one():
 
 
 def test_ess_bounds_sine_family():
-    # analytic extrema of 1 + 3(1+sin)/2 are (1, 4); the declared bounds
-    # are exact, and dense probing must agree to grid resolution
-    gam = sine_family(4.0)
-    cm = gam.ess_bounds()
-    assert (cm.inf, cm.sup) == (1.0, 4.0)
-    probed = PeriodicWeight.from_callable(gam.evaluator).ess_bounds()
-    assert probed.inf == pytest.approx(1.0, abs=1e-5)
-    assert probed.sup == pytest.approx(4.0, abs=1e-5)
+    # 1 + (M-1)(1+sin)/2 attains 1 and M at 3pi/2 and pi/2, both
+    # PROBE_GRID points, so the probed range is exact; a monotone map of
+    # the weight maps those same samples, so its range is exact too
+    for M in (1.0, 1.0 + 2.0 ** -52, 4.0, 9.0, 1e6, 2.0 ** 60):
+        cm = sine_family(M).ess_bounds()
+        assert (cm.inf, cm.sup) == (1.0, M)
+    for w, expected in [(sine_family(9.0).power(-0.5), (9.0 ** -0.5, 1.0)),
+                        (sine_family(4.0).power(-1.0), (0.25, 1.0)),
+                        (sine_family(2.5).power(3.0), (1.0, 2.5 ** 3)),
+                        (sine_family(4.0).scale(0.5), (0.5, 2.0))]:
+        cm = w.ess_bounds()
+        assert (cm.inf, cm.sup) == expected
 
 
 def test_power_pointwise():
@@ -162,7 +166,7 @@ def test_piecewise_integrate_is_exact():
     assert w.antiderivative(TWO_PI) == pytest.approx(expected, rel=1e-15)
 
 
-def test_probe_runs_once_without_declared_bounds():
+def test_probe_runs_once():
     # construction probes positivity; ess_bounds() reuses that probe
     calls = []
 
@@ -193,20 +197,18 @@ def test_sampled_product_golden_values():
     lambda: PeriodicWeight.constant(math.inf),
     lambda: PeriodicWeight.piecewise([0.0, math.nan], [1.0, 2.0]),
     lambda: PeriodicWeight.piecewise([0.0, 1.0], [1.0, math.inf]),
-    lambda: PeriodicWeight.from_callable(lambda th: 2.0 + np.sin(th),
-                                         declared_bounds=(1.0, math.inf)),
-    lambda: PeriodicWeight.from_callable(lambda th: 2.0 + np.sin(th),
-                                         declared_bounds=(math.nan, 3.0)),
     lambda: PeriodicWeight.from_callable(
         lambda th: np.where(th < 1.0, math.nan, 1.0)),
     lambda: PeriodicWeight.from_callable(
         lambda th: np.where(th < 1.0, 1.0, math.inf)),
     lambda: sine_family(math.inf),
+    lambda: sine_family(math.nan),
+    lambda: sine_family(1e308),
     lambda: extremal_weight_pq(math.nan, 1.0, 1.0),
     lambda: extremal_weight_pq(math.nan, 1.0, 0.0),
 ], ids=["const-nan", "const-inf", "pwc-nan-breakpoint", "pwc-inf-value",
-        "declared-inf", "declared-nan", "sampled-nan", "sampled-inf",
-        "sine-inf", "bar-a-nan", "bar-gamma-nan"])
+        "sampled-nan", "sampled-inf", "sine-inf", "sine-nan", "sine-1e308",
+        "bar-a-nan", "bar-gamma-nan"])
 def test_non_finite_weight_is_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
