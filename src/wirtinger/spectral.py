@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Periodic mesh on [0, 2pi): nodes plus a wraparound element."""
+    """Periodic mesh on [0, 2pi): nodes plus a wraparound element.
+
+    Its nodes are not changed after construction; `lengths` is worked
+    out from them once."""
 
     nodes: np.ndarray
 
@@ -36,10 +40,13 @@ class Mesh:
     def n(self):
         return self.nodes.size
 
-    @property
+    @cached_property
     def lengths(self):
+        """Element lengths, a read-only array."""
         wrapped = np.concatenate((self.nodes, [self.nodes[0] + TWO_PI]))
-        return np.diff(wrapped)
+        h = np.diff(wrapped)
+        h.setflags(write=False)
+        return h
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,10 @@ def build_mesh(a, b, n):
         raise ValueError("mesh requires n >= 8")
     base = np.linspace(0.0, TWO_PI, n, endpoint=False)
     tol = 1e-9 * (TWO_PI / n)
-    bp = np.unique(np.concatenate(([0.0], a.breakpoints, b.breakpoints)))
-    # merge slivers: drop each breakpoint within tol of its predecessor,
-    # then the last one if it is within tol of 2pi (node 0, circularly)
+    bp = np.sort(np.concatenate(([0.0], a.breakpoints, b.breakpoints)))
+    # merge repeats and slivers: drop each breakpoint within tol of its
+    # predecessor, then the last one if it is within tol of 2pi (node 0,
+    # circularly)
     bp = bp[np.append(True, np.diff(bp) > tol)]
     if TWO_PI - bp[-1] <= tol:
         bp = bp[:-1]
@@ -76,7 +84,8 @@ def build_mesh(a, b, n):
     for nearest in (bp[right - 1], bp[right % bp.size]):
         diff = np.abs(base - nearest)
         keep &= np.minimum(diff, TWO_PI - diff) > tol
-    return Mesh(nodes=np.unique(np.concatenate((base[keep], bp))))
+    # a kept node lies more than tol from every breakpoint: no value repeats
+    return Mesh(nodes=np.sort(np.concatenate((base[keep], bp))))
 
 
 def _element_entries(a, b, mesh):
@@ -89,7 +98,12 @@ def _element_entries(a, b, mesh):
     guarantees for piecewise-constant weights up to merged slivers.
     """
     h = mesh.lengths
-    pts = (mesh.nodes[:, None] + h[:, None] * GAUSS_NODES[None, :]).ravel()
+    # pts[e, k] = x_e + h_e g_k, written one Gauss node at a time (numpy's
+    # broadcast over rows of 4 is slower)
+    pts = np.empty((mesh.n, 4))
+    for k, g in enumerate(GAUSS_NODES):
+        pts[:, k] = mesh.nodes + h * g
+    pts = pts.ravel()
     av = np.asarray(a.eval(pts)).reshape(-1, 4)
     bv = np.asarray(b.eval(pts)).reshape(-1, 4)
     phi0, phi1 = 1.0 - GAUSS_NODES, GAUSS_NODES
@@ -106,18 +120,24 @@ def _cyclic_csc(d0, off, d1):
 
     Element e joins nodes e and e+1 (mod m), m >= 3, so the sum is cyclic
     tridiagonal: column j holds off[j-1], d0[j] + d1[j-1] and off[j] at
-    rows j-1, j and j+1 (mod m); only the first and last columns wrap,
-    and sorting puts their rows in order.
+    rows j-1, j and j+1 (mod m).  Only the first and last columns wrap,
+    to rows (0, 1, m-1) and (0, m-2, m-1) in sorted order.
     """
     import scipy.sparse as sp
     m = d0.size
     j = np.arange(m, dtype=np.int32)
-    rows = np.stack((j - 1, j, j + 1), axis=1) % m
-    data = np.stack((np.roll(off, 1), d0 + np.roll(d1, 1), off), axis=1)
+    rows = np.empty((m, 3), dtype=np.int32)
+    rows[:, 0], rows[:, 1], rows[:, 2] = j - 1, j, j + 1
+    rows[0], rows[-1] = (0, 1, m - 1), (0, m - 2, m - 1)
+    data = np.empty((m, 3))
+    data[1:, 0] = off[:-1]
+    data[1:, 1] = d0[1:] + d1[:-1]
+    data[1:, 2] = off[1:]
+    data[0] = d0[0] + d1[-1], off[0], off[-1]
+    data[-1] = off[-1], off[-2], d0[-1] + d1[-2]
     mat = sp.csc_matrix((data.ravel(), rows.ravel(),
                          np.arange(0, 3 * m + 1, 3, dtype=np.int32)),
                         shape=(m, m))
-    mat.sort_indices()
     mat.has_canonical_format = True
     return mat
 
@@ -159,7 +179,24 @@ SCALE_LIMIT = 1e154
 
 
 def _deflate(v, ones_mass, ones_mass_norm):
-    return v - np.ones(v.size) * (ones_mass @ v) / ones_mass_norm
+    return v - (ones_mass @ v) / ones_mass_norm
+
+
+def _csc_product(mat):
+    """x -> mat @ x for a float vector x, bit for bit, on a CSC matrix.
+
+    scipy's own csc_matvec kernel, which `mat @ x` ends in, into a zeroed
+    vector, without the dispatch before it.
+    """
+    from scipy.sparse._sparsetools import csc_matvec
+    rows, cols = mat.shape
+
+    def product(x):
+        y = np.zeros(rows)
+        csc_matvec(rows, cols, mat.indptr, mat.indices, mat.data, x, y)
+        return y
+
+    return product
 
 
 def best_constant(a, b, n=2048):
@@ -170,6 +207,8 @@ def best_constant(a, b, n=2048):
     with K - sigma M reach ARPACK as bare `matvec` callbacks on scipy's
     own LinearOperator, and its start vector and the generator of its
     restart vectors are fixed, so repeated calls return the same bits.
+    Every product with K or M is scipy's csc_matvec kernel, called
+    directly (`_csc_product`).
     The returned pair (lambda_1, eigenfunction) must satisfy
     ||K u - lambda_1 M u||_2 <= EIG_RESIDUAL_TOL * ||K||_1 ||u||_2,
     else SolverError.  The check catches a failed or unconverged
@@ -207,16 +246,17 @@ def best_constant(a, b, n=2048):
     stiff, mass = assemble(a, b, mesh)
     mass.data = np.ldexp(mass.data, -2 * i)
     stiff.data = np.ldexp(stiff.data, -2 * j)
+    stiff_product, mass_product = _csc_product(stiff), _csc_product(mass)
     m = mesh.n
     e = np.ones(m)
-    ones_mass = mass @ e
+    ones_mass = mass_product(e)
     ones_mass_norm = float(e @ ones_mass)
 
     # scale estimate from a deflated cosine test vector, used to place
     # the shift
     v = np.cos(mesh.nodes)
     v = _deflate(v, ones_mass, ones_mass_norm)
-    lam_est = float(v @ (stiff @ v)) / float(v @ (mass @ v))
+    lam_est = float(v @ stiff_product(v)) / float(v @ mass_product(v))
     if lam_est <= 0:
         raise SolverError("trial Rayleigh quotient is nonpositive")
 
@@ -232,11 +272,11 @@ def best_constant(a, b, n=2048):
         # eigsh calls the matvec of M and of OPinv on every Lanczos step;
         # the bare functions there skip LinearOperator's shape checks and
         # wrapper layers
-        mass_op = spla.LinearOperator((m, m), matvec=mass.__matmul__,
+        mass_op = spla.LinearOperator((m, m), matvec=mass_product,
                                       dtype=np.float64)
         inv_op = spla.LinearOperator((m, m), matvec=lu.solve,
                                      dtype=np.float64)
-        mass_op.matvec, inv_op.matvec = mass.__matmul__, lu.solve
+        mass_op.matvec, inv_op.matvec = mass_product, lu.solve
         # a fixed start vector and restart generator keep repeated solves
         # bit-reproducible; in this mode eigsh reads only the shape and
         # dtype of its first argument
@@ -258,15 +298,16 @@ def best_constant(a, b, n=2048):
 
     u = _deflate(vecs[:, i1], ones_mass, ones_mass_norm)
     target = TWO_PI * math.ldexp(a.mean(), -2 * i)
-    u = u * math.sqrt(target / float(u @ (mass @ u)))
-    peak = np.max(np.abs(u))
-    first = int(np.argmax(np.abs(u) >= (1.0 - 1e-8) * peak))
+    u = u * math.sqrt(target / float(u @ mass_product(u)))
+    abs_u = np.abs(u)
+    first = int(np.argmax(abs_u >= (1.0 - 1e-8) * abs_u.max()))
     if u[first] < 0:
         u = -u
     # ||K||_1, the largest column sum (spla.norm takes ~10x as long)
     stiff_norm = np.add.reduceat(np.abs(stiff.data), stiff.indptr[:-1]).max()
-    eig_residual = np.linalg.norm(stiff @ u - lam1 * (mass @ u)) / (
-        stiff_norm * np.linalg.norm(u))
+    eig_residual = np.linalg.norm(
+        stiff_product(u) - lam1 * mass_product(u)) / (
+            stiff_norm * np.linalg.norm(u))
     if not eig_residual <= EIG_RESIDUAL_TOL:
         raise SolverError(f"eigenpair residual {eig_residual:.3g} exceeds "
                           f"{EIG_RESIDUAL_TOL:g}")

@@ -31,9 +31,15 @@ PANELS = 2048
 #: edges of the closed-form quadrature panels, shared by every weight
 _GRID_EDGES = np.linspace(0.0, TWO_PI, PANELS + 1)
 
-#: 4-point Gauss-Legendre on [0, 1], the rule of every element and panel
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
-GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (GAUSS_NODES + 1.0), 0.5 * GAUSS_WEIGHTS
+#: 4-point Gauss-Legendre on [0, 1], the rule of every element and panel:
+#: numpy's leggauss(4) mapped by x -> (x + 1) / 2, w -> w / 2, written out
+#: so that importing this module does not load numpy.polynomial
+GAUSS_NODES = np.array([float.fromhex(x) for x in (
+    "0x1.1c6490c2719ecp-4", "0x1.51ee013116102p-2",
+    "0x1.5708ff6774f7fp-1", "0x1.dc736de7b1cc2p-1")])
+GAUSS_WEIGHTS = np.array([float.fromhex(x) for x in (
+    "0x1.64340f7e7b666p-3", "0x1.4de5f840c24cdp-2",
+    "0x1.4de5f840c24cdp-2", "0x1.64340f7e7b666p-3")])
 
 #: the breakpoints of every sampled weight
 _NO_BREAKPOINTS = np.empty(0)
@@ -135,9 +141,18 @@ class PeriodicWeight:
     # -- evaluation ----------------------------------------------------
 
     def eval(self, theta):
-        """Evaluate at angle(s) theta; periodic extension to all reals."""
+        """Evaluate at angle(s) theta; periodic extension to all reals.
+
+        Angles are reduced by np.mod unless every one already lies in
+        (0, 2pi), where a copy is what np.mod returns, bit for bit, at a
+        fraction of its cost.  Either way a sampled weight's evaluator
+        gets an array of its own.
+        """
         th = np.asarray(theta, dtype=float)
-        thm = np.mod(th, TWO_PI)
+        if th.size and th.min() > 0.0 and th.max() < TWO_PI:
+            thm = th.copy()
+        else:
+            thm = np.mod(th, TWO_PI)
         if self.kind == "piecewise_constant":
             idx = np.searchsorted(self.breakpoints, thm, side="right") - 1
             out = self.values[idx]
@@ -234,6 +249,20 @@ def periodic_lift(x, breakpoints, values, slopes, rise):
     return match_scalar(x, out)
 
 
+def sorted_unique(x):
+    """np.unique of a 1-d float array without NaN, bit for bit.
+
+    np.unique's own algorithm for floats, a sort and then each value that
+    differs from its predecessor, without its masked-array check, whose
+    first call imports numpy.ma.
+    """
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def weighted_moments(gw, av, bv, wv, wpv):
     """The sums of gw a w^2, gw a w, gw a |w| and gw b w'^2, as floats.
 
@@ -252,7 +281,7 @@ def panel_quadrature(breakpoints):
     max(1, ceil(PANELS * l / 2pi)) equal panels.  Returns the Gauss
     points and weights of all the panels, as two flat arrays.
     """
-    cuts = np.unique(np.concatenate([[0.0, TWO_PI], *breakpoints]))
+    cuts = sorted_unique(np.concatenate([[0.0, TWO_PI], *breakpoints]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= TWO_PI)]
     lefts, widths = [], []
     for left, right in zip(cuts[:-1], cuts[1:]):
@@ -287,7 +316,7 @@ def combine(w1, w2, fn):
     (ValueError).
     """
     if w1.kind == "piecewise_constant" and w2.kind == "piecewise_constant":
-        bp = np.union1d(w1.breakpoints, w2.breakpoints)
+        bp = sorted_unique(np.concatenate((w1.breakpoints, w2.breakpoints)))
         v1 = w1.eval(bp)
         v2 = w2.eval(bp)
         return _derived(bp, fn(v1, v2), "combined")

@@ -599,6 +599,34 @@ def test_import_loads_no_scipy(tmp_path):
     assert _cold_python(code, cwd=tmp_path) == "[]\n"
 
 
+_LOADED_AFTER_RUNS = """
+import contextlib, io, json, sys
+from wirtinger.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy"
+                        or m.split(".")[:2] in (["numpy", "ma"],
+                                                ["numpy", "polynomial"]))))
+"""
+
+
+def test_closed_form_commands_load_no_scipy_numpy_ma_or_polynomial(
+        tmp_path):
+    # the Gauss rule is written out and unique sorts without np.unique, so
+    # a cold bound, extremal or transform-check loads neither numpy.ma
+    # nor numpy.polynomial (~20 ms of import), nor scipy
+    argvs = [["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
+             ["extremal", "--family", "pq", "--M", "4", "--p", "1",
+              "--q", "0", "--samples", "64", "--out", "e.json"],
+             ["transform-check", "--a", "sine:4",
+              "--b", "pwc:0=1,1=3,2.5=2,4=5"]]
+    out = _cold_python(_LOADED_AFTER_RUNS, json.dumps(argvs), cwd=tmp_path)
+    assert json.loads(out) == []
+
+
 def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
                                                capsys):
     cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"

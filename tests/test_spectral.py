@@ -14,7 +14,7 @@ from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
                        sine_family, transported_geometric_mean)
 from wirtinger.sharpness import (closed_form_pq0, extremal_fn_pq,
                                  extremal_weight_pq)
-from wirtinger.spectral import Mesh, SolverError
+from wirtinger.spectral import Mesh, SolverError, _csc_product
 from wirtinger.weights import GAUSS_NODES, GAUSS_WEIGHTS
 
 TWO_PI = 2 * math.pi
@@ -201,6 +201,24 @@ def test_assemble_matches_coo_scatter(a, b, nodes):
             g, r = getattr(got, name), getattr(ref, name)
             assert g.dtype == r.dtype
             assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("a,b,mesh", [
+    (sine_family(4.0), ABAR, Mesh(nodes=np.array([0.5, 2.0, 4.0]))),
+    (ONE, ONE, build_mesh(ONE, ONE, 8)),
+    (ABAR, ABAR.power(-1.0), build_mesh(ABAR, ABAR, 512)),
+    (sine_family(4.0), PWC_P, build_mesh(sine_family(4.0), PWC_P, 2048)),
+    (SLIVER, SLIVER.power(-1.0), build_mesh(SLIVER, SLIVER, 2048)),
+], ids=["m3", "m8", "m512", "m2048", "sliver"])
+def test_direct_product_equals_scipy_product(a, b, mesh):
+    # the kernel best_constant hands ARPACK for M, and uses for every
+    # product with K and M, is scipy's own product, bit for bit
+    rng = np.random.default_rng(26)
+    for mat in assemble(a, b, mesh):
+        product = _csc_product(mat)
+        for x in (rng.standard_normal(mesh.n), np.ones(mesh.n),
+                  np.cos(mesh.nodes)):
+            assert product(x).tobytes() == (mat @ x).tobytes()
 
 
 @pytest.mark.parametrize("nodes", [[1.0], [0.5, 4.0]], ids=["m1", "m2"])

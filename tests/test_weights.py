@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wirtinger import PeriodicWeight, PowerWeightPair, product, sine_family
 from wirtinger.sharpness import extremal_weight_pq
-from wirtinger.weights import PROBE_POINTS
+from wirtinger.weights import (GAUSS_NODES, GAUSS_WEIGHTS, PROBE_POINTS,
+                               sorted_unique)
 
 TWO_PI = 2 * math.pi
 
@@ -219,3 +220,85 @@ def test_sampled_weight_has_no_breakpoints():
     assert bp.shape == (0,) and bp.dtype == float
     with pytest.raises(ValueError, match="read-only"):
         bp[...] = 1.0
+
+
+def test_gauss_rule_is_leggauss_on_the_unit_interval():
+    # the literals are numpy's leggauss(4) mapped to [0, 1], bit for bit
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert GAUSS_NODES.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert GAUSS_WEIGHTS.tobytes() == (0.5 * w).tobytes()
+
+
+#: angles where the reduction modulo 2pi is delicate
+SPECIAL_ANGLES = [0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0),
+                  np.nextafter(0.0, 1.0), -1e-300, -TWO_PI, -3.0, 1e17,
+                  -1e17, math.nan]
+
+
+def _recording_weight():
+    """A sampled weight that keeps every array its evaluator is given.
+
+    Its value shows the sign of a zero angle too."""
+    seen = []
+
+    def fn(th):
+        seen.append(np.array(th, copy=True))
+        return 2.0 + np.copysign(0.5, th)
+
+    return PeriodicWeight.from_callable(fn), seen
+
+
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL_ANGLES),
+                          st.floats(-1e17, 1e17),
+                          st.floats(0.0, TWO_PI)), max_size=12),
+       st.booleans())
+@example([-0.0], True)
+@example([-0.0, 1.0], False)
+@example([TWO_PI], True)
+@example([np.nextafter(TWO_PI, 0.0), 1.0], False)
+@example([math.nan, 1.0], False)
+@example([0.5, 6.0], False)
+@settings(max_examples=200, deadline=None)
+def test_eval_equals_the_reduced_reference_property(angles, scalar):
+    # skipping np.mod where it changes nothing keeps every bit: the
+    # evaluator sees np.mod's angles and the pieces are looked up there
+    theta = angles[0] if scalar and angles else np.array(angles, dtype=float)
+    reduced = np.mod(theta, TWO_PI)
+    pwc = PeriodicWeight.piecewise([0.0, 1.0, 3.0, 5.5], [1.0, 2.0, 3.0, 4.0])
+    ref = pwc.values[np.searchsorted(pwc.breakpoints, reduced,
+                                     side="right") - 1]
+    assert np.asarray(pwc.eval(theta)).tobytes() == ref.tobytes()
+    sampled, seen = _recording_weight()
+    out = sampled.eval(theta)
+    assert seen[-1].tobytes() == np.asarray(reduced).tobytes()
+    ref = 2.0 + np.copysign(0.5, reduced)
+    assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+    assert type(out) is (float if scalar and angles else np.ndarray)
+
+
+def test_sampled_evaluator_gets_an_array_of_its_own():
+    # an evaluator that writes into its argument leaves the caller's
+    # angles as they were: assemble evaluates b at the points it gave a
+    def mutating(th):
+        out = 2.0 + np.sin(th)
+        th[...] = -1.0
+        return out
+
+    w = PeriodicWeight.from_callable(mutating)
+    theta = np.linspace(0.1, 6.0, 50)
+    before = theta.copy()
+    assert np.asarray(w.eval(theta)).tobytes() == (
+        2.0 + np.sin(before)).tobytes()
+    assert theta.tobytes() == before.tobytes()
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, TWO_PI]),
+                          st.floats(-10.0, 10.0)), max_size=30))
+@example([0.0, -0.0, 1.0, 1.0])
+@example([-0.0, 0.0, -0.0])
+@settings(max_examples=200, deadline=None)
+def test_sorted_unique_equals_np_unique_property(values):
+    # duplicates and zeros of both signs, where np.unique keeps the first
+    # of each run after its sort
+    x = np.array(values + values[::3], dtype=float)
+    assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
