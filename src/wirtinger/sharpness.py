@@ -107,75 +107,62 @@ def bound_power(pair):
 
 # -- square-wave extremal family -----------------------------------------
 
-def _square_wave(M, p, q):
-    """Extremal gamma: 1 on [0, c pi/2) and [pi, pi + c pi/2), M elsewhere.
-
-    Here c = c_pq(M, p, q).
-    """
-    half = transform.c_pq(M, p, q) * math.pi / 2.0
-    return PeriodicWeight.piecewise([0.0, half, math.pi, math.pi + half],
-                                    [1.0, float(M), 1.0, float(M)])
-
-
-def _extremal_fn(M, p, q, mu):
-    """Extremal function of the square wave and its derivative."""
-    c = transform.c_pq(M, p, q)
-    s = math.sqrt(mu)
-    amp = M ** (-(p + q) / 4.0)
-    slope2 = M ** ((p - q) / 2.0) / c
-    b1 = c * math.pi / 2.0
-    pi = math.pi
-
-    def fn(theta):
-        tm = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        return np.select(
-            [tm < b1, tm < pi, tm < pi + b1],
-            [np.sin(s * (tm / c - pi / 4)),
-             amp * np.cos(s * (pi / 2 + slope2 * (tm - b1) - 3 * pi / 4)),
-             -np.sin(s * (pi + (tm - pi) / c - 5 * pi / 4))],
-            -amp * np.cos(s * (3 * pi / 2 + slope2 * (tm - pi - b1) - 7 * pi / 4)))
-
-    def fn_prime(theta):
-        tm = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        return np.select(
-            [tm < b1, tm < pi, tm < pi + b1],
-            [(s / c) * np.cos(s * (tm / c - pi / 4)),
-             -amp * s * slope2 * np.sin(s * (pi / 2 + slope2 * (tm - b1) - 3 * pi / 4)),
-             -(s / c) * np.cos(s * (pi + (tm - pi) / c - 5 * pi / 4))],
-            amp * s * slope2 * np.sin(s * (3 * pi / 2 + slope2 * (tm - pi - b1) - 7 * pi / 4)))
-
-    return fn, fn_prime
-
-
 def extremal_weight_pq(M, p, q):
     """Extremal gamma for the power-weight bound, for M >= 1.
 
+    1, M, 1, M on the pieces cut by h_pq_inv, the quarter periods' images.
     M = 1 gives the constant weight, p = q = 1 the equal-weight square wave.
     """
     if M < 1.0:
         raise ValueError("extremal family requires M >= 1")
     if p + q <= 0:
         raise ValueError("extremal family requires p + q > 0")
-    return _square_wave(M, p, q)
+    return PeriodicWeight.piecewise(transform.h_pq_inv(M, p, q).breakpoints,
+                                    [1.0, float(M), 1.0, float(M)])
 
 
 def mu_constant(M, p, q, mu_mode="continuity_corrected"):
     """The arctan-squared constant of the extremal function."""
-    if mu_mode == "paper_literal":
-        return ((4.0 / math.pi) * math.atan(M ** (-(p + q)))) ** 2
-    if mu_mode == "continuity_corrected":
-        return ((4.0 / math.pi) * math.atan(M ** (-(p + q) / 4.0))) ** 2
-    raise ValueError(f"unknown mu_mode {mu_mode!r}")
+    divisor = {"paper_literal": 1.0, "continuity_corrected": 4.0}.get(mu_mode)
+    if divisor is None:
+        raise ValueError(f"unknown mu_mode {mu_mode!r}")
+    return ((4.0 / math.pi) * math.atan(M ** (-(p + q) / divisor))) ** 2
 
 
 def extremal_fn_pq(M, p, q, mu_mode="continuity_corrected"):
     """Extremal function of the power family, in the chosen mu convention."""
     weight = extremal_weight_pq(M, p, q)
     mu = mu_constant(M, p, q, mu_mode)
-    fn, fn_prime = _extremal_fn(M, p, q, mu)
+    c = transform.c_pq(M, p, q)
+    s = math.sqrt(mu)
+    amp = M ** (-(p + q) / 4.0)
+    slope2 = M ** ((p - q) / 2.0) / c
+    b1, pi = weight.breakpoints[1], math.pi
+
+    def pieces(theta):
+        """The masks of the first three pieces, and every piece's phase."""
+        tm = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+        return ([tm < b1, tm < pi, tm < pi + b1],
+                [s * (tm / c - pi / 4),
+                 s * (pi / 2 + slope2 * (tm - b1) - 3 * pi / 4),
+                 s * (pi + (tm - pi) / c - 5 * pi / 4),
+                 s * (3 * pi / 2 + slope2 * (tm - pi - b1) - 7 * pi / 4)])
+
+    def fn(theta):
+        masks, ph = pieces(theta)
+        return np.select(masks, [np.sin(ph[0]), amp * np.cos(ph[1]),
+                                 -np.sin(ph[2])], -amp * np.cos(ph[3]))
+
+    def fn_prime(theta):
+        masks, ph = pieces(theta)
+        return np.select(masks, [(s / c) * np.cos(ph[0]),
+                                 -amp * s * slope2 * np.sin(ph[1]),
+                                 -(s / c) * np.cos(ph[2])],
+                         amp * s * slope2 * np.sin(ph[3]))
+
     return ExtremalProfile(weight=weight, fn=fn, fn_prime=fn_prime,
-                           constants={"c_pq": transform.c_pq(M, p, q),
-                                      "mu": mu, "mu_mode": mu_mode})
+                           constants={"c_pq": c, "mu": mu,
+                                      "mu_mode": mu_mode})
 
 
 def closed_form_pq0(a, phase=0.0):
@@ -204,14 +191,17 @@ def verify_sharpness(pair, n=2048):
     """Compare the spectral constant of (gamma^p, gamma^q) to the bound.
 
     The computed constant is Richardson-extrapolated from meshes of size
-    n/4, n/2, n, so n must be at least 32; the bound counts as attained
-    when the relative gap is within SHARPNESS_TOL.
+    n/4, n/2, n, so n must be at least 32 and a multiple of 4; the bound
+    counts as attained when the relative gap is within SHARPNESS_TOL.
     """
     if pair.p + pair.q < 0:
         raise ValueError("verification requires p + q >= 0")
     if n < 32:
         raise ValueError(
             "verification requires n >= 32 (its coarsest mesh is n/4)")
+    if n % 4:
+        raise ValueError("verification requires n to be a multiple of 4 "
+                         "(its meshes n/4, n/2, n must share one ratio)")
     bound = bound_power(pair)
     result = spectral.converge(pair.a, pair.b, [n // 4, n // 2, n])
     gap = (bound - result.constant) / bound

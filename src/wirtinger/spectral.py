@@ -343,13 +343,16 @@ def rayleigh_quotient(a, b, w, wprime):
 def converge(a, b, n_list):
     """Refinement study: per-level constants, observed order, extrapolation.
 
-    Assumes the levels share a common refinement ratio (dyadic in the
-    intended use); the returned constant is Richardson-extrapolated from
-    the last triple.
+    Richardson-extrapolates the last three levels, which must share one
+    refinement ratio (n0 n2 = n1^2, as in a dyadic list).
     """
     n_list = list(n_list)
     if len(n_list) < 3 or any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
         raise ValueError("need at least 3 strictly increasing mesh sizes")
+    n0, n1, n2 = n_list[-3:]
+    if n0 * n2 != n1 * n1:
+        raise ValueError(f"the last three mesh sizes {n0}, {n1}, {n2} do not "
+                         "share one refinement ratio (n0 n2 != n1^2)")
     results = [best_constant(a, b, n) for n in n_list]
     consts = np.array([r.constant for r in results])
 

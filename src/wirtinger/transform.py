@@ -43,12 +43,15 @@ class PiecewiseLinearMap:
         if np.any(sl <= 0.0):
             raise ValueError("slopes must be positive")
         edges = np.concatenate((bp, [TWO_PI]))
+        # a gap counts along the flatter axis, 1e-10 in value or argument, so
+        # a steep piece's rounded breakpoints fail neither map nor inverse
+        tol = 1e-10 * np.maximum(1.0, sl)
         rise = vals[-1] + sl[-1] * (TWO_PI - bp[-1])
-        if abs(rise - TWO_PI) > 1e-10:
+        if abs(rise - TWO_PI) > tol[-1]:
             raise ValueError("map must carry [0, 2pi) onto [0, 2pi)")
         # continuity at interior breakpoints
         implied = vals[:-1] + sl[:-1] * np.diff(edges)[:-1]
-        if np.max(np.abs(implied - vals[1:]), initial=0.0) > 1e-10:
+        if np.any(np.abs(implied - vals[1:]) > tol[:-1]):
             raise ValueError("breakpoint values break continuity")
         self.breakpoints = bp
         self.values = vals

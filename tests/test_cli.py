@@ -154,6 +154,11 @@ def test_parse_error_exit_code(capsys):
     # a power modifier without its weight, a sine family below M = 1
     ["bound", "--a", "pow:2", "--b", "const:1"],
     ["bound", "--a", "sine:0.5", "--b", "const:1"],
+    # Richardson levels without one refinement ratio, refused before a solve
+    ["solve", "--a", "bar-gamma:4,1,0", "--b", "const:1", "--n-list",
+     "512,1024,3000"],
+    ["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1", "--q", "0",
+     "--n", "2050"],
 ])
 def test_out_of_domain_argument_exit_code(argv, tmp_path, monkeypatch,
                                           capsys):
@@ -410,6 +415,17 @@ def test_sweep_row_below_32_names_its_own_limit(capsys):
     assert rows == [{"M": 4.0, "p": 1.0, "q": 0.0, "error":
                      "verification requires n >= 32 (its coarsest mesh "
                      "is n/4)"}]
+
+
+def test_sweep_row_not_a_multiple_of_4_names_its_own_limit(capsys):
+    # n = 2050 would extrapolate from 512, 1025, 2050, two ratios apart
+    rc = main(["sweep", "--M-list", "4", "--p-list", "1", "--q-list", "0",
+               "--n", "2050"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert rows == [{"M": 4.0, "p": 1.0, "q": 0.0, "error":
+                     "verification requires n to be a multiple of 4 (its "
+                     "meshes n/4, n/2, n must share one ratio)"}]
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -273,6 +273,90 @@ def test_closed_form_pq0_golden_values_off_the_period():
         "-0x1.0a6a62c49a9aap-1", "-0x1.1155f17167ca2p-3"]
 
 
+# float.hex of extremal_weight_pq's breakpoints, of extremal_fn_pq's fn and
+# fn_prime on those breakpoints and at -7, 6.5 and 13, and of mu_constant
+# in continuity_corrected and paper_literal mode: M = 1, p = q, q < 0, a
+# non-dyadic M and a contrast of 1e6
+EXTREMAL_GOLDEN = [
+    ((1.0, 1.0, 0.0), {
+        "breakpoints": ["0x0.0p+0", "0x1.921fb54442d18p+0",
+            "0x1.921fb54442d18p+1", "0x1.2d97c7f3321d2p+2"],
+        "fn": ["-0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bcdp-1",
+            "0x1.6a09e667f3bccp-1", "-0x1.6a09e667f3bcdp-1",
+            "-0x1.fecbdc1052079p-1", "-0x1.13ae447875315p-1",
+            "-0x1.60d406703322cp-2"],
+        "fn_prime": ["0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bccp-1",
+            "-0x1.6a09e667f3bcdp-1", "-0x1.6a09e667f3bccp-1",
+            "0x1.18b29de965011p-4", "0x1.af71b9d5f7cacp-1",
+            "0x1.e0a5c56bc3842p-1"],
+        "mu": ["0x1.0000000000000p+0", "0x1.0000000000000p+0"]}),
+    ((4.0, 1.0, 1.0), {
+        "breakpoints": ["0x0.0p+0", "0x1.921fb54442d18p+0",
+            "0x1.921fb54442d18p+1", "0x1.2d97c7f3321d2p+2"],
+        "fn": ["-0x1.c9f25c5bfedd8p-2", "0x1.c9f25c5bfeddap-2",
+            "0x1.c9f25c5bfedd8p-2", "-0x1.c9f25c5bfeddap-2",
+            "-0x1.ff94965678cabp-2", "-0x1.514adcf161c0cp-2",
+            "-0x1.a63d7a5fdac5fp-3"],
+        "fn_prime": ["0x1.0e577bfb8549cp-1", "0x1.0e577bfb8549ap-3",
+            "-0x1.0e577bfb8549cp-1", "-0x1.0e577bfb8549ap-3",
+            "0x1.877c993f74c73p-7", "0x1.1d6254a36a45ap-1",
+            "0x1.27c1f3203655dp-1"],
+        "mu": ["0x1.64dbd14711b1ap-2", "0x1.9def1ceeb5ea7p-8"]}),
+    ((4.0, 2.0, -0.5), {
+        "breakpoints": ["0x0.0p+0", "0x1.55b763f891d49p+1",
+            "0x1.921fb54442d18p+1", "0x1.73eb8c9e6a530p+2"],
+        "fn": ["-0x1.05ac6b7f50dfep-1", "0x1.05ac6b7f50dfep-1",
+            "0x1.05ac6b7f50dfep-1", "-0x1.05ac6b7f50dfbp-1",
+            "-0x1.b255ced486b2fp-2", "-0x1.bcc457d6835b6p-2",
+            "-0x1.6acfef63565f3p-2"],
+        "fn_prime": ["0x1.61b83ffdbce5ap-2", "0x1.61b83ffdbce5ap-1",
+            "-0x1.61b83ffdbce5ap-2", "-0x1.61b83ffdbce66p-1",
+            "-0x1.74ac5ebdf9b08p-2", "0x1.72ae4afa50480p-2",
+            "0x1.80d4542787a9cp-2"],
+        "mu": ["0x1.ddb63147e9d4ep-2", "0x1.9abd5a8947b2ep-6"]}),
+    ((2.7, 0.5, 1.5), {
+        "breakpoints": ["0x0.0p+0", "0x1.304631bb0c3dcp+0",
+            "0x1.921fb54442d18p+1", "0x1.15216710e4783p+2"],
+        "fn": ["-0x1.0a2d168dc6f63p-1", "0x1.0a2d168dc6f62p-1",
+            "0x1.0a2d168dc6f63p-1", "-0x1.0a2d168dc6f62p-1",
+            "-0x1.344e428974e51p-1", "-0x1.5c7adebb30489p-2",
+            "-0x1.2d948cba0cc19p-3"],
+        "fn_prime": ["0x1.925abbdbe96fdp-1", "0x1.6ac35bfdd70fdp-3",
+            "-0x1.925abbdbe96fdp-1", "-0x1.6ac35bfdd70fdp-3",
+            "0x1.946259d6d62bap-5", "0x1.bae4e65aaba82p-1",
+            "0x1.d1df69f9bc3d5p-1"],
+        "mu": ["0x1.f02a3dd18c860p-2", "0x1.ed9b4f2f2e991p-6"]}),
+    ((1000000.0, 0.25, 3.0), {
+        "breakpoints": ["0x0.0p+0", "0x1.2f81f90c90b13p-26",
+            "0x1.921fb54442d18p+1", "0x1.921fb56a3310ap+1"],
+        "fn": ["-0x1.bf749e688f255p-17", "0x1.bf749e688f255p-17",
+            "0x1.bf749e688f255p-17", "-0x1.bf749e688f255p-17",
+            "-0x1.bf749e6907841p-17", "0x1.bf749e68bb0fdp-17",
+            "0x1.bf749e68e0776p-17"],
+        "fn_prime": ["0x1.796a75188896ap+10", "0x1.b3217f4e0f806p-50",
+            "-0x1.796a75188896ap+10", "-0x1.b3217f4e0f806p-50",
+            "0x1.d920bb5d5d74cp-51", "0x1.771204d2bf15bp-50",
+            "0x1.3b028a054e529p-50"],
+        "mu": ["0x1.3cf8acfce22a0p-32", "0x1.1a7136794440fp-129"]}),
+]
+
+
+@pytest.mark.parametrize("mpq,golden", EXTREMAL_GOLDEN,
+                         ids=[",".join(map(str, mpq))
+                              for mpq, _ in EXTREMAL_GOLDEN])
+def test_extremal_family_golden_values(mpq, golden):
+    prof = extremal_fn_pq(*mpq)
+    bp = extremal_weight_pq(*mpq).breakpoints
+    theta = np.concatenate((bp, [-7.0, 6.5, 13.0]))
+
+    def hexes(xs):
+        return [float(x).hex() for x in xs]
+    assert {"breakpoints": hexes(bp), "fn": hexes(prof.fn(theta)),
+            "fn_prime": hexes(prof.fn_prime(theta)),
+            "mu": hexes(mu_constant(*mpq, mode) for mode in
+                        ("continuity_corrected", "paper_literal"))} == golden
+
+
 # -- verification -----------------------------------------------------------
 
 

@@ -358,6 +358,13 @@ def test_converge_validates_input():
         converge(ONE, ONE, [64, 128])
     with pytest.raises(ValueError):
         converge(ONE, ONE, [128, 64, 256])
+    # only the last triple is extrapolated, so only it needs one ratio
+    for levels in ([100, 1000, 1100], [64, 128, 256, 300]):
+        with pytest.raises(ValueError, match="one refinement ratio"):
+            converge(ONE, ONE, levels)
+    res = converge(ONE, ONE, [48, 64, 128, 256])
+    assert [n for n, _ in res.history] == [48, 64, 128, 256]
+    assert res.estimated_order == pytest.approx(2.0, abs=0.3)
 
 
 def test_scaling_covariance():

@@ -217,6 +217,36 @@ def test_h_pq_roundtrip_and_lift():
         assert np.max(np.abs(h(probes + TWO_PI) - h(probes) - TWO_PI)) < 1e-12
 
 
+def test_h_pq_inv_of_a_steep_family_is_the_inverse_of_h_pq():
+    # slope 1/c ~ 9e7 on [pi, pi + c pi/2): the rounding of pi + c pi/2
+    # leaves a value gap of 3.9e-9, an argument gap of 4e-17
+    h, hinv = h_pq(1e6, 0.25, 3.0), h_pq_inv(1e6, 0.25, 3.0)
+    assert np.array_equal(h.inverse().breakpoints, hinv.breakpoints)
+    assert np.array_equal(extremal_weight_pq(1e6, 0.25, 3.0).breakpoints,
+                          hinv.breakpoints)
+    probes = np.linspace(-TWO_PI, 2 * TWO_PI, 1001)
+    assert np.max(np.abs(h(hinv(probes)) - probes)) < 1e-12
+
+
+def test_piecewise_linear_map_rejects_a_gap_on_either_axis():
+    def two_pieces(b1, gap):
+        # [0, b1) onto [0, pi), with a value gap at b1; the rise stays 2pi
+        return transform.PiecewiseLinearMap(
+            [0.0, b1], [0.0, math.pi + gap],
+            [math.pi / b1, (math.pi - gap) / (TWO_PI - b1)])
+    two_pieces(math.pi, 0.0)
+    with pytest.raises(ValueError, match="continuity"):
+        two_pieces(math.pi, 1e-9)
+    with pytest.raises(ValueError, match="onto"):
+        transform.PiecewiseLinearMap([0.0, math.pi], [0.0, math.pi],
+                                     [1.0, 1.0 + 1e-9])
+    # slope ~3142: a value gap of 1e-7 is an argument gap of 3e-11, and
+    # one of 1e-6 is one of 3e-10
+    two_pieces(1e-3, 1e-7)
+    with pytest.raises(ValueError, match="continuity"):
+        two_pieces(1e-3, 1e-6)
+
+
 def test_h_pq_rejects_nonpositive_p_plus_q():
     with pytest.raises(ValueError):
         h_pq(4.0, 1.0, -1.0)
