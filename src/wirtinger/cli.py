@@ -96,14 +96,15 @@ def parse_weight(spec):
 
 
 def _json(obj):
+    # floats first: the extremal CSV formats three per sample
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -126,6 +127,13 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _write_csv(fh, header, table):
+    """A header line, then one line per row of cells, RFC 4180 quoted."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(table)
+
+
 def _report_csv(report):
     """Rows, or else key/value lines, of cells in JSON text (keys bare)."""
     rows = report["results"].get("rows")
@@ -137,7 +145,7 @@ def _report_csv(report):
         header = ["key", "value"]
         table = [[k, _json(v)] for k, v in report["results"].items()]
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([header, *table])
+    _write_csv(out, header, table)
     return out.getvalue()
 
 
@@ -195,11 +203,10 @@ def _cmd_extremal(args):
     profile = sharpness.extremal_fn_pq(M, p, q, mu_mode=args.mu_mode)
     theta = np.arange(args.samples) * (TWO_PI / args.samples)
     csv_path = (args.out or "extremal") + ".fn.csv"
+    columns = (theta, profile.weight.eval(theta), profile.fn(theta))
     with open(csv_path, "w") as fh:
-        fh.write("theta,weight,extremal_fn\n")
-        for t, w, f in zip(theta, profile.weight.eval(theta),
-                           profile.fn(theta)):
-            fh.write(f"{t:.17g},{w:.17g},{f:.17g}\n")
+        _write_csv(fh, ["theta", "weight", "extremal_fn"],
+                   (map(_json, row) for row in zip(*columns)))
     return {"family": args.family,
             "constants": profile.constants,
             "samples": args.samples, "csv": csv_path}
@@ -230,6 +237,11 @@ def _cmd_verify(args):
 
 def _cmd_sweep(args):
     _require_numbers(args, "L_list", "M_list", "p_list", "q_list")
+    # an (M, p, q) row needs all three lists, and some row must be asked for
+    grid = [args.M_list, args.p_list, args.q_list]
+    if grid.count(None) in (1, 2) or args.L_list is None and None in grid:
+        raise ValueError("sweep needs --L-list, or all of --M-list, "
+                         "--p-list and --q-list, or both")
 
     def family(M, p, q):
         if args.gamma_family == "sine":
@@ -240,9 +252,7 @@ def _cmd_sweep(args):
     cases = [({"L": L}, sharpness.extremal_weight_pq, L, 1.0, 1.0)
              for L in args.L_list or []]
     cases += [({"M": M, "p": p, "q": q}, family, M, p, q)
-              for M, p, q in itertools.product(args.M_list or [],
-                                               args.p_list or [],
-                                               args.q_list or [])]
+              for M, p, q in itertools.product(*(g or [] for g in grid))]
     rows = []
     for label, gamma, M, p, q in cases:
         row = dict(label)

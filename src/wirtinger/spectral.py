@@ -238,8 +238,9 @@ def best_constant(a, b, n=2048):
                               f"{SCALE_LIMIT:g} with each ess sup scaled "
                               "into [1, 4); the eigensolve would overflow")
     mesh = build_mesh(a, b, n)
-    # K, about b / h, is assembled in the caller's scale
-    if eb.sup / float(mesh.lengths.min()) > sys.float_info.max:
+    # K, about b / h, is assembled in the caller's scale, and each of its
+    # diagonal entries sums two elements' b / h
+    if eb.sup / float(mesh.lengths.min()) > sys.float_info.max / 2:
         raise SolverError("the stiffness matrix of b overflows a float on "
                           f"this mesh (ess sup b = {eb.sup:.3g})")
     import scipy.sparse.linalg as spla

@@ -1,31 +1,31 @@
-"""Shared fixtures, and the numpy and scipy versions, the OpenBLAS
-thread setting and the CPU count in pytest's report.
+"""Shared fixtures, one BLAS thread, and the numpy and scipy versions in
+pytest's report.
 
-The float.hex goldens in tests/ and the CLI bytes in
-perfbench/reference/cli.json were recorded with the versions pinned in
-ci/constraints.txt and with threaded OpenBLAS; on another install they
-may fail in the last bits. The bar-a golden at n = 32768 needs two or
-more OpenBLAS threads, and OpenBLAS runs at most one thread per CPU the
-process may use: the golden fails with OPENBLAS_NUM_THREADS=1, and on one
-CPU (taskset -c 0) whatever the setting; on 2 CPUs it passes with the
-variable unset or at 2 or more.
+The tests run BLAS on one thread, as the benchmark does: the variables
+below are set before numpy loads, so the float.hex goldens in tests/ and
+the CLI bytes in perfbench/reference/cli.json hold on any number of
+CPUs and whatever the caller's environment sets.  Both were recorded
+with the versions pinned in ci/constraints.txt; on another install they
+may fail in the last bits.  Constants at n >= 16384 depend on the BLAS
+thread count in the last bits (ROADMAP item 9).
 """
 
 import os
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-import scipy
+
+if "numpy" in sys.modules:
+    sys.exit("tests/conftest.py: numpy was imported before the BLAS "
+             "thread pin; the tests would not run on one thread")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the pin above)
+import scipy  # noqa: E402
 
 CONSTRAINTS = Path(__file__).resolve().parents[1] / "ci" / "constraints.txt"
-
-
-def _cpus():
-    """The CPUs this process may run on, which cap OpenBLAS's threads."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
 
 
 def _version_lines():
@@ -35,10 +35,7 @@ def _version_lines():
     lines = [f"{name} {mod.__version__} (goldens recorded with "
              f"{pinned.get(name, 'an unpinned version')})"
              for name, mod in (("numpy", np), ("scipy", scipy))]
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return lines + [f"OPENBLAS_NUM_THREADS {threads}, available CPUs {_cpus()} "
-                    "(goldens recorded with threaded OpenBLAS; one thread, "
-                    "or one CPU, changes the bar-a golden at n = 32768)"]
+    return lines + ["BLAS threads pinned to 1"]
 
 
 def pytest_report_header(config):

@@ -159,6 +159,11 @@ def test_parse_error_exit_code(capsys):
      "512,1024,3000"],
     ["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1", "--q", "0",
      "--n", "2050"],
+    # a sweep with part of the (M, p, q) grid, or with no list at all
+    ["sweep", "--M-list", "2,4", "--n", "64"],
+    ["sweep", "--M-list", "2,4", "--n", "64", "--format", "csv"],
+    ["sweep", "--L-list", "2", "--p-list", "1", "--q-list", "0"],
+    ["sweep", "--n", "64"],
 ])
 def test_out_of_domain_argument_exit_code(argv, tmp_path, monkeypatch,
                                           capsys):
@@ -267,7 +272,10 @@ def test_large_b_past_the_scale_limit_fails_before_the_eigensolve(a, b, ratio,
 @pytest.mark.parametrize("a,b", [("const:1e200", "const:1"),
                                  ("const:1", "const:1e200"),
                                  ("const:1e100", "const:1e200"),
-                                 ("const:1e-12", "const:1e141")])
+                                 ("const:1e-12", "const:1e141"),
+                                 # the largest b whose K has a finite
+                                 # diagonal 2 b / h at n = 64
+                                 ("const:1", "const:8.82e306")])
 def test_large_weights_solve_at_unit_scale(a, b, capsys):
     # C(const s, const t) = (s / t) C(1, 1), and the discrete C(1, 1) is
     # 0.9991971967547243 at n = 64
@@ -282,16 +290,26 @@ def test_large_weights_solve_at_unit_scale(a, b, capsys):
      "the constant, 10^312.0, is outside the float range"),
     (["--a", "const:1e-12", "--b", "const:1e300", "--n", "64"],
      "the constant, 10^-312.0, is outside the float range"),
-    (["--a", "const:1", "--b", "const:1e307", "--n", "4096"],
-     "the stiffness matrix of b overflows a float on this mesh "
-     "(ess sup b = 1e+307)"),
-], ids=["C=1e312", "C=1e-312", "K-overflows"])
+], ids=["C=1e312", "C=1e-312"])
 def test_result_outside_the_float_range_is_a_solver_error(argv, message,
                                                           capfd):
     assert main(["solve", *argv]) == 3
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"solver error: {message}"]
+
+
+# each diagonal entry of K sums two elements' b / h, so on a uniform mesh
+# it overflows from b / h > max float / 2: at n = 64, b / h is 1.02e308
+@pytest.mark.parametrize("n", ["64", "96", "4096"])
+def test_stiffness_overflow_fails_before_the_eigensolve(n, capfd):
+    assert main(["solve", "--a", "const:1", "--b", "const:1e307",
+                 "--n", n]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "solver error: the stiffness matrix of b overflows a float on this "
+        "mesh (ess sup b = 1e+307)"]
 
 
 def test_sweep_row_whose_solve_fails_is_an_error_cell(capsys):
@@ -574,14 +592,28 @@ REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                         / "reference" / "cli.json").read_text())
 
 
+def _file_digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_COMMANDS))
 def test_benchmark_reference_bytes(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(REFERENCE_COMMANDS[name]) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir())}
     assert capsys.readouterr().out == REFERENCE[name]["stdout"]
-    assert written == REFERENCE[name]["files"]
+    assert _file_digests(tmp_path) == REFERENCE[name]["files"]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_COMMANDS))
+def test_benchmark_reference_bytes_at_two_blas_threads(name, tmp_path):
+    # the tests pin one BLAS thread, as the benchmark does; a cold CLI on
+    # threaded OpenBLAS writes the same bytes (on one CPU OpenBLAS caps
+    # itself at one thread)
+    out = _cold_python("-m", "wirtinger.cli", *REFERENCE_COMMANDS[name],
+                       cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert out == REFERENCE[name]["stdout"]
+    assert _file_digests(tmp_path) == REFERENCE[name]["files"]
 
 
 # runs each argv of sys.argv[1] through cli.main with scipy unimportable
@@ -599,11 +631,12 @@ print(json.dumps(runs))
 """
 
 
-def _cold_python(code, *args, cwd):
-    """Stdout of a fresh interpreter that imports this checkout's package."""
+def _cold_python(*argv, cwd, **env):
+    """Stdout of a fresh interpreter, run with argv and the extra env, that
+    imports this checkout's package."""
     src = str(Path(wirtinger.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src, **env),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -612,7 +645,7 @@ def _cold_python(code, *args, cwd):
 def test_import_loads_no_scipy(tmp_path):
     code = ("import sys, wirtinger, wirtinger.cli; "
             "print([m for m in sys.modules if m.startswith('scipy')])")
-    assert _cold_python(code, cwd=tmp_path) == "[]\n"
+    assert _cold_python("-c", code, cwd=tmp_path) == "[]\n"
 
 
 _LOADED_AFTER_RUNS = """
@@ -639,7 +672,8 @@ def test_closed_form_commands_load_no_scipy_numpy_ma_or_polynomial(
               "--q", "0", "--samples", "64", "--out", "e.json"],
              ["transform-check", "--a", "sine:4",
               "--b", "pwc:0=1,1=3,2.5=2,4=5"]]
-    out = _cold_python(_LOADED_AFTER_RUNS, json.dumps(argvs), cwd=tmp_path)
+    out = _cold_python("-c", _LOADED_AFTER_RUNS, json.dumps(argvs),
+                       cwd=tmp_path)
     assert json.loads(out) == []
 
 
@@ -659,7 +693,7 @@ def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
              ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
               "--seed", "1"],
              too_large]
-    cold = json.loads(_cold_python(_NO_SCIPY_RUN, json.dumps(argvs),
+    cold = json.loads(_cold_python("-c", _NO_SCIPY_RUN, json.dumps(argvs),
                                    cwd=cold_dir))
     monkeypatch.chdir(warm_dir)
     for argv, (rc, out, err) in zip(argvs, cold):
