@@ -80,12 +80,17 @@ SHARPNESS_TOL = 5e-3
 
 
 def _squared_ratio(num, den):
-    """(num / den)^2, a ValueError where that is no finite float."""
+    """(num / den)^2, a ValueError where that is no finite float.
+
+    num is a mean, inf where the integral behind it overflowed."""
     try:
-        return (num / den) ** 2
+        bound = (num / den) ** 2
     except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if math.isinf(bound):
         raise ValueError(f"bound ({num:g} / {den:g})^2 overflows a float; "
-                         "the weights' contrast is too large") from None
+                         "the weights' contrast is too large")
+    return bound
 
 
 def bound_general(a, b):

@@ -221,10 +221,11 @@ def best_constant(a, b, n=2048):
     and K and M are scaled by the powers of 4 that bring each ess sup
     into [1, 4); lambda_1 and the constant are scaled back.  A power of
     4 on a or b thus scales the constant exactly, and only the contrast
-    of a weight is left to overflow.  Weights past SCALE_LIMIT, and a b
-    whose K overflows on the mesh, raise SolverError before the
-    eigensolve and before scipy is imported; so does a constant outside
-    the normal floats, after the eigensolve.
+    of a weight is left to overflow.  Weights past SCALE_LIMIT, an a
+    whose integral over a period overflows, and a b whose K overflows on
+    the mesh raise SolverError before the eigensolve and before scipy is
+    imported; so does a constant outside the normal floats, after the
+    eigensolve.
     """
     ea, eb = a.ess_bounds(), b.ess_bounds()
     # 4^i <= ess sup a < 4^(i + 1), and likewise j for b
@@ -237,6 +238,10 @@ def best_constant(a, b, n=2048):
             raise SolverError(f"ess sup {ratio} = {scale:.3g} exceeds "
                               f"{SCALE_LIMIT:g} with each ess sup scaled "
                               "into [1, 4); the eigensolve would overflow")
+    # the eigenfunction is normalized to the integral of a
+    mean_a = a.mean()
+    if math.isinf(mean_a):
+        raise SolverError("the integral of a over a period overflows a float")
     mesh = build_mesh(a, b, n)
     # K, about b / h, is assembled in the caller's scale, and each of its
     # diagonal entries sums two elements' b / h
@@ -298,7 +303,7 @@ def best_constant(a, b, n=2048):
         raise SolverError("lambda_1 is nonpositive (assembly bug?)")
 
     u = _deflate(vecs[:, i1], ones_mass, ones_mass_norm)
-    target = TWO_PI * math.ldexp(a.mean(), -2 * i)
+    target = TWO_PI * math.ldexp(mean_a, -2 * i)
     u = u * math.sqrt(target / float(u @ mass_product(u)))
     abs_u = np.abs(u)
     first = int(np.argmax(abs_u >= (1.0 - 1e-8) * abs_u.max()))

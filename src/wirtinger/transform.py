@@ -118,8 +118,14 @@ def substitution_check(cov, w, wprime):
     sides are `panel_quadrature`, cut at the breakpoints of a
     and b and at their images under tau: at roundoff for piecewise-constant
     weights, at the error of build_cov's midpoint surrogate otherwise.
+    An a or b whose integral over a period overflows a float, which would
+    make the residuals nan, is a ValueError.
     """
     a, b, c = cov.a, cov.b, cov.c
+    for name, weight in (("a", a), ("b", b)):
+        if math.isinf(weight.mean()):
+            raise ValueError(f"the integral of {name} over a period "
+                             "overflows a float")
     bps = [a.breakpoints, b.breakpoints]
     th, dth = panel_quadrature(bps)
     sq, mom, absmom, grad = weighted_moments(dth, a.eval(th), b.eval(th),
@@ -128,7 +134,7 @@ def substitution_check(cov, w, wprime):
 
     tau, dtau = panel_quadrature([cov.forward(bp) for bp in bps])
     th_of_tau = cov.inverse(tau)
-    g = np.sqrt(np.asarray(a.eval(th_of_tau)) * np.asarray(b.eval(th_of_tau)))
+    g = np.asarray(transported_geometric_mean(cov).eval(tau))
     # chain rule: theta'(tau) = c / sqrt(a/b) at theta(tau)
     theta_slope = c / np.asarray(cov.density.eval(th_of_tau))
     sq, mom, _, grad = weighted_moments(dtau, c * g, g / c, w(th_of_tau),

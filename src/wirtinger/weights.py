@@ -104,8 +104,7 @@ class PeriodicWeight:
             self.values = vals
             self.evaluator = None
             edges = np.concatenate((bp, [TWO_PI]))
-            self._cells = (bp, np.concatenate(
-                ([0.0], np.cumsum(vals * np.diff(edges)))), vals)
+            self._cells = (bp, _running_integral(vals, np.diff(edges)), vals)
         else:
             if evaluator is None:
                 raise ValueError("sampled_closed_form requires an evaluator")
@@ -214,8 +213,8 @@ class PeriodicWeight:
         if self._cells is None:
             mids = 0.5 * (_GRID_EDGES[:-1] + _GRID_EDGES[1:])
             vals = np.broadcast_to(self.eval(mids), mids.shape)
-            self._cells = (_GRID_EDGES[:-1], np.concatenate(
-                ([0.0], np.cumsum(vals * np.diff(_GRID_EDGES)))), vals)
+            self._cells = (_GRID_EDGES[:-1],
+                           _running_integral(vals, np.diff(_GRID_EDGES)), vals)
         return self._cells
 
     def antiderivative(self, theta):
@@ -229,8 +228,21 @@ class PeriodicWeight:
         return periodic_lift(theta, edges, cum, vals, cum[-1])
 
     def mean(self):
-        """Average value over one period: the cells' total over 2pi."""
+        """Average value over one period: the cells' total over 2pi.
+
+        inf when that total overflows a float."""
         return float(self.cells()[1][-1]) / TWO_PI
+
+
+def _running_integral(values, widths):
+    """0, then the running sums of values * widths.
+
+    A sum past the float range is inf, without a numpy warning: a weight
+    whose integral overflows is still a weight, and each computation
+    that needs the integral refuses it there.
+    """
+    with np.errstate(over="ignore"):
+        return np.concatenate(([0.0], np.cumsum(values * widths)))
 
 
 def periodic_lift(x, breakpoints, values, slopes, rise):

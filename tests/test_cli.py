@@ -164,6 +164,10 @@ def test_parse_error_exit_code(capsys):
     ["sweep", "--M-list", "2,4", "--n", "64", "--format", "csv"],
     ["sweep", "--L-list", "2", "--p-list", "1", "--q-list", "0"],
     ["sweep", "--n", "64"],
+    # a weight whose integral over a period overflows: in the substitution
+    # identities, and as the mean in a power bound
+    ["transform-check", "--a", "const:1e308", "--b", "const:1"],
+    ["bound", "--gamma", "pwc:0=1,3=1e308", "--p", "2", "--q", "0"],
 ])
 def test_out_of_domain_argument_exit_code(argv, tmp_path, monkeypatch,
                                           capsys):
@@ -229,12 +233,26 @@ def test_sweep_row_whose_bound_overflows_is_an_error_cell(capsys):
      "powered weight overflows a float"),
     (["bound", "--a", "const:1e-12", "--b", "const:1e300"],
      "combined weight falls below 1e-12"),
+    (["transform-check", "--a", "const:1e308", "--b", "const:1"],
+     "the integral of a over a period overflows a float"),
+    (["transform-check", "--a", "const:1e300", "--b", "const:1e308"],
+     "the integral of b over a period overflows a float"),
 ])
 def test_derived_weight_error_names_the_computation(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"invalid argument: {message}"]
+
+
+# the integral of a overflows, or the product ab's, of which bound_general
+# takes only the range; filterwarnings = error fails a numpy warning
+@pytest.mark.parametrize("a,b,bound", [("const:1e308", "const:1", 1e308),
+                                       ("const:1e154", "const:1e154", 1.0)])
+def test_bound_needs_no_integral_that_overflows(a, b, bound, capsys):
+    assert main(["bound", "--a", a, "--b", b]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["bound"] == pytest.approx(bound, rel=1e-15)
 
 
 # normalization by powers of 4 leaves the contrast of a weight: a
@@ -290,7 +308,10 @@ def test_large_weights_solve_at_unit_scale(a, b, capsys):
      "the constant, 10^312.0, is outside the float range"),
     (["--a", "const:1e-12", "--b", "const:1e300", "--n", "64"],
      "the constant, 10^-312.0, is outside the float range"),
-], ids=["C=1e312", "C=1e-312"])
+    # refused before the eigensolve: the eigenfunction is normalized to it
+    (["--a", "const:1.7e308", "--b", "const:1", "--n", "64"],
+     "the integral of a over a period overflows a float"),
+], ids=["C=1e312", "C=1e-312", "integral-of-a"])
 def test_result_outside_the_float_range_is_a_solver_error(argv, message,
                                                           capfd):
     assert main(["solve", *argv]) == 3
@@ -446,18 +467,6 @@ def test_sweep_row_not_a_multiple_of_4_names_its_own_limit(capsys):
                      "meshes n/4, n/2, n must share one ratio)"}]
 
 
-def test_determinism_byte_identical(tmp_path):
-    outs = []
-    for name in ("r1.json", "r2.json"):
-        path = tmp_path / name
-        rc = main(["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1",
-                   "--q", "0", "--n", "128", "--seed", "42",
-                   "--out", str(path)])
-        assert rc == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_extremal_csv_roundtrip(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["extremal", "--family", "ps", "--L", "4",
@@ -494,7 +503,8 @@ def test_transform_check_command(capsys):
 
 
 # sha256 of every file each command writes; the extremal reports embed
-# their relative CSV path, so the bytes do not depend on the directory
+# their relative CSV path, so the bytes do not depend on the directory.
+# bound's report is pinned verbatim by test_benchmark_reference_bytes
 GOLDEN = [
     (["extremal", "--family", "ps", "--L", "1"], {
         "out.json": "2d85117c827d7a999452d1432fd0cc6fa639420933a778c9c7f88b986987bb4a",
@@ -513,8 +523,6 @@ GOLDEN = [
         "out.json": "9286ca95d1e6e62fa7d399cb3c83576d62335d4f9325c1203091b13fe2c7f79f"}),
     (["transform-check", "--a", "sine:4", "--b", "pwc:0=1,1=3,2.5=2,4=5"], {
         "out.json": "b09f17facc59b2347148d613c642a08b0590cfbcc98887d02bd51a0ab2da754b"}),
-    (["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"], {
-        "out.json": "d1f23b4b9d2d5345df43bb717948a1c0bb5549a3d679938ccd593359d43b58ae"}),
 ]
 
 
@@ -605,21 +613,11 @@ def test_benchmark_reference_bytes(name, tmp_path, monkeypatch, capsys):
     assert _file_digests(tmp_path) == REFERENCE[name]["files"]
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_COMMANDS))
-def test_benchmark_reference_bytes_at_two_blas_threads(name, tmp_path):
-    # the tests pin one BLAS thread, as the benchmark does; a cold CLI on
-    # threaded OpenBLAS writes the same bytes (on one CPU OpenBLAS caps
-    # itself at one thread)
-    out = _cold_python("-m", "wirtinger.cli", *REFERENCE_COMMANDS[name],
-                       cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
-    assert out == REFERENCE[name]["stdout"]
-    assert _file_digests(tmp_path) == REFERENCE[name]["files"]
-
-
-# runs each argv of sys.argv[1] through cli.main with scipy unimportable
-_NO_SCIPY_RUN = """
+# runs each argv of sys.argv[1] through cli.main in one interpreter and
+# prints [runs, loaded]: [rc, stdout, stderr] per argv, then the scipy,
+# numpy.ma and numpy.polynomial modules loaded by the end
+_COLD_RUNS = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None
 from wirtinger import cli
 runs = []
 for argv in json.loads(sys.argv[1]):
@@ -627,7 +625,10 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     runs.append([rc, out.getvalue(), err.getvalue()])
-print(json.dumps(runs))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m.split(".")[:2]
+                in (["numpy", "ma"], ["numpy", "polynomial"]))
+print(json.dumps([runs, loaded]))
 """
 
 
@@ -642,68 +643,71 @@ def _cold_python(*argv, cwd, **env):
     return proc.stdout
 
 
-def test_import_loads_no_scipy(tmp_path):
-    code = ("import sys, wirtinger, wirtinger.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
-    assert _cold_python("-c", code, cwd=tmp_path) == "[]\n"
+@pytest.fixture(scope="module")
+def two_thread_run(tmp_path_factory):
+    """Every reference command in one cold CLI process on threaded
+    OpenBLAS: the run [rc, stdout, stderr] per name, and the digests of
+    the files the commands wrote into their shared directory."""
+    cwd = tmp_path_factory.mktemp("two-threads")
+    runs, _ = json.loads(_cold_python(
+        "-c", _COLD_RUNS, json.dumps(list(REFERENCE_COMMANDS.values())),
+        cwd=cwd, OPENBLAS_NUM_THREADS="2"))
+    files = _file_digests(cwd)
+    assert set(files) == {file for name in REFERENCE_COMMANDS
+                          for file in REFERENCE[name]["files"]}
+    return dict(zip(REFERENCE_COMMANDS, runs)), files
 
 
-_LOADED_AFTER_RUNS = """
-import contextlib, io, json, sys
-from wirtinger.cli import main
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy"
-                        or m.split(".")[:2] in (["numpy", "ma"],
-                                                ["numpy", "polynomial"]))))
-"""
+@pytest.mark.parametrize("name", sorted(REFERENCE_COMMANDS))
+def test_benchmark_reference_bytes_at_two_blas_threads(name, two_thread_run):
+    # the tests pin one BLAS thread, as the benchmark does; a cold CLI on
+    # threaded OpenBLAS writes the same bytes (on one CPU OpenBLAS caps
+    # itself at one thread)
+    runs, files = two_thread_run
+    rc, out, err = runs[name]
+    assert rc == 0, err
+    assert out == REFERENCE[name]["stdout"]
+    expected = REFERENCE[name]["files"]
+    assert {file: files[file] for file in expected} == expected
 
 
 def test_closed_form_commands_load_no_scipy_numpy_ma_or_polynomial(
-        tmp_path):
-    # the Gauss rule is written out and unique sorts without np.unique, so
-    # a cold bound, extremal or transform-check loads neither numpy.ma
-    # nor numpy.polynomial (~20 ms of import), nor scipy
+        tmp_path, monkeypatch, capsys):
+    # the closed forms, the extremal profiles and the transform need
+    # numpy's core only: the Gauss rule is written out and unique sorts
+    # without np.unique, so a cold bound, extremal or transform-check
+    # loads neither numpy.ma nor numpy.polynomial (~20 ms of import), nor
+    # scipy, and neither does a solve refused before the eigensolve.
+    # Listing what loaded also catches an import that a try would swallow
+    refused = {"pwc:0=1,3=1e200": "ess sup b / min(1, ess inf a) = ",
+               "const:1.7e308": "the integral of a over a period overflows"}
     argvs = [["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
              ["extremal", "--family", "pq", "--M", "4", "--p", "1",
               "--q", "0", "--samples", "64", "--out", "e.json"],
              ["transform-check", "--a", "sine:4",
-              "--b", "pwc:0=1,1=3,2.5=2,4=5"]]
-    out = _cold_python("-c", _LOADED_AFTER_RUNS, json.dumps(argvs),
-                       cwd=tmp_path)
-    assert json.loads(out) == []
-
-
-def test_closed_form_commands_run_without_scipy(tmp_path, monkeypatch,
-                                               capsys):
+              "--b", "pwc:0=1,1=3,2.5=2,4=5"],
+             ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
+              "--seed", "1"],
+             *(["solve", "--a", a, "--b", "const:1", "--n", "64"]
+               for a in refused)]
     cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
     cold_dir.mkdir()
     warm_dir.mkdir()
-    # the closed forms, the extremal profiles and the transform need
-    # numpy only, and a solve past SCALE_LIMIT is rejected before scipy
-    # would load
-    too_large = ["solve", "--a", "pwc:0=1,3=1e200", "--b", "const:1",
-                 "--n", "64"]
-    argvs = [["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
-             ["extremal", "--family", "pq", "--M", "4", "--p", "1",
-              "--q", "0", "--samples", "64", "--out", "e.json"],
-             ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
-              "--seed", "1"],
-             too_large]
-    cold = json.loads(_cold_python("-c", _NO_SCIPY_RUN, json.dumps(argvs),
-                                   cwd=cold_dir))
+    runs, loaded = json.loads(_cold_python(
+        "-c", _COLD_RUNS, json.dumps(argvs), cwd=cold_dir))
+    assert loaded == []
     monkeypatch.chdir(warm_dir)
-    for argv, (rc, out, err) in zip(argvs, cold):
-        expected = 3 if argv is too_large else 0
+    for argv, (rc, out, err) in zip(argvs, runs):
+        expected = 3 if argv[0] == "solve" else 0
         assert rc == expected, (argv, err)
         assert main(argv) == expected
         assert out == capsys.readouterr().out
-    assert err.startswith("solver error: ess sup b / min(1, ess inf a)")
-    for name in ("e.json", "e.json.fn.csv"):
-        assert (cold_dir / name).read_bytes() == (warm_dir / name).read_bytes()
+        if argv[0] == "solve":
+            [line] = err.splitlines()
+            assert line.startswith("solver error: " + refused[argv[2]])
+    written = _file_digests(cold_dir)
+    assert list(written) == ["e.json", "e.json.fn.csv"]
+    assert written == _file_digests(warm_dir)
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

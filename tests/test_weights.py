@@ -105,6 +105,17 @@ def test_mean_examples():
     assert half.mean() == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
+def test_weight_whose_integral_overflows_is_built_without_a_warning():
+    # filterwarnings = error fails a numpy overflow warning; the eager
+    # integral of a piecewise-constant weight and the lazy one of a
+    # sampled weight are inf, for the computation that needs them to refuse
+    const = PeriodicWeight.constant(1e308)
+    sampled = PeriodicWeight.from_callable(lambda th: np.full_like(th, 1e308))
+    for w in (const, sampled):
+        assert w.ess_bounds().inf == w.ess_bounds().sup == 1e308
+        assert w.mean() == math.inf
+
+
 def test_positivity_rejected_at_construction():
     with pytest.raises(ValueError):
         PeriodicWeight.piecewise([0.0, 1.0], [1.0, 0.0])
