@@ -613,22 +613,26 @@ def test_benchmark_reference_bytes(name, tmp_path, monkeypatch, capsys):
     assert _file_digests(tmp_path) == REFERENCE[name]["files"]
 
 
-# runs each argv of sys.argv[1] through cli.main in one interpreter and
-# prints [runs, loaded]: [rc, stdout, stderr] per argv, then the scipy,
-# numpy.ma and numpy.polynomial modules loaded by the end
+# imports wirtinger and wirtinger.cli, runs each argv of sys.argv[1]
+# through cli.main in one interpreter, and prints [imported, runs, loaded]:
+# the scipy, numpy.ma and numpy.polynomial modules loaded by the imports,
+# [rc, stdout, stderr] per argv, then those modules loaded by the end
 _COLD_RUNS = """
 import contextlib, io, json, sys
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2]
+                  in (["numpy", "ma"], ["numpy", "polynomial"]))
+import wirtinger
 from wirtinger import cli
+imported = heavy()
 runs = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     runs.append([rc, out.getvalue(), err.getvalue()])
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] == "scipy" or m.split(".")[:2]
-                in (["numpy", "ma"], ["numpy", "polynomial"]))
-print(json.dumps([runs, loaded]))
+print(json.dumps([imported, runs, heavy()]))
 """
 
 
@@ -649,7 +653,7 @@ def two_thread_run(tmp_path_factory):
     OpenBLAS: the run [rc, stdout, stderr] per name, and the digests of
     the files the commands wrote into their shared directory."""
     cwd = tmp_path_factory.mktemp("two-threads")
-    runs, _ = json.loads(_cold_python(
+    _, runs, _ = json.loads(_cold_python(
         "-c", _COLD_RUNS, json.dumps(list(REFERENCE_COMMANDS.values())),
         cwd=cwd, OPENBLAS_NUM_THREADS="2"))
     files = _file_digests(cwd)
@@ -671,43 +675,61 @@ def test_benchmark_reference_bytes_at_two_blas_threads(name, two_thread_run):
     assert {file: files[file] for file in expected} == expected
 
 
-def test_closed_form_commands_load_no_scipy_numpy_ma_or_polynomial(
-        tmp_path, monkeypatch, capsys):
-    # the closed forms, the extremal profiles and the transform need
-    # numpy's core only: the Gauss rule is written out and unique sorts
-    # without np.unique, so a cold bound, extremal or transform-check
-    # loads neither numpy.ma nor numpy.polynomial (~20 ms of import), nor
-    # scipy, and neither does a solve refused before the eigensolve.
-    # Listing what loaded also catches an import that a try would swallow
-    refused = {"pwc:0=1,3=1e200": "ess sup b / min(1, ess inf a) = ",
-               "const:1.7e308": "the integral of a over a period overflows"}
-    argvs = [["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
-             ["extremal", "--family", "pq", "--M", "4", "--p", "1",
-              "--q", "0", "--samples", "64", "--out", "e.json"],
-             ["transform-check", "--a", "sine:4",
-              "--b", "pwc:0=1,1=3,2.5=2,4=5"],
-             ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
-              "--seed", "1"],
-             *(["solve", "--a", a, "--b", "const:1", "--n", "64"]
-               for a in refused)]
-    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
-    cold_dir.mkdir()
-    warm_dir.mkdir()
-    runs, loaded = json.loads(_cold_python(
-        "-c", _COLD_RUNS, json.dumps(argvs), cwd=cold_dir))
-    assert loaded == []
-    monkeypatch.chdir(warm_dir)
-    for argv, (rc, out, err) in zip(argvs, runs):
+# the closed forms, the extremal profiles and the transform need numpy's
+# core only, and a solve refused before the eigensolve needs no scipy
+_REFUSED = {"pwc:0=1,3=1e200": "ess sup b / min(1, ess inf a) = ",
+            "const:1.7e308": "the integral of a over a period overflows"}
+_CLOSED_FORM_ARGVS = [
+    ["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"],
+    ["extremal", "--family", "pq", "--M", "4", "--p", "1", "--q", "0",
+     "--samples", "64", "--out", "e.json"],
+    ["transform-check", "--a", "sine:4", "--b", "pwc:0=1,1=3,2.5=2,4=5"],
+    ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
+     "--seed", "1"],
+    *(["solve", "--a", a, "--b", "const:1", "--n", "64"] for a in _REFUSED)]
+
+
+@pytest.fixture(scope="module")
+def closed_form_run(tmp_path_factory):
+    """_COLD_RUNS over _CLOSED_FORM_ARGVS in one fresh interpreter:
+    [imported, runs, loaded], and the directory the commands wrote to."""
+    cwd = tmp_path_factory.mktemp("closed-form-cold")
+    return json.loads(_cold_python("-c", _COLD_RUNS,
+                                   json.dumps(_CLOSED_FORM_ARGVS),
+                                   cwd=cwd)), cwd
+
+
+def test_import_loads_no_scipy(closed_form_run):
+    (imported, _, _), _ = closed_form_run
+    assert imported == []
+
+
+def test_closed_form_commands_run_without_scipy(closed_form_run, tmp_path,
+                                               monkeypatch, capsys):
+    (_, runs, loaded), cold_dir = closed_form_run
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    monkeypatch.chdir(tmp_path)
+    for argv, (rc, out, err) in zip(_CLOSED_FORM_ARGVS, runs, strict=True):
         expected = 3 if argv[0] == "solve" else 0
         assert rc == expected, (argv, err)
         assert main(argv) == expected
         assert out == capsys.readouterr().out
         if argv[0] == "solve":
             [line] = err.splitlines()
-            assert line.startswith("solver error: " + refused[argv[2]])
+            assert line.startswith("solver error: " + _REFUSED[argv[2]])
     written = _file_digests(cold_dir)
     assert list(written) == ["e.json", "e.json.fn.csv"]
-    assert written == _file_digests(warm_dir)
+    assert written == _file_digests(tmp_path)
+
+
+def test_closed_form_commands_load_no_scipy_numpy_ma_or_polynomial(
+        closed_form_run):
+    # the Gauss rule is written out and unique sorts without np.unique, so
+    # a cold bound, extremal or transform-check loads neither numpy.ma
+    # nor numpy.polynomial (~20 ms of import), nor scipy. Listing what
+    # loaded also catches an import that a try would swallow
+    (_, _, loaded), _ = closed_form_run
+    assert loaded == []
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
