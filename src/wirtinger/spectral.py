@@ -64,7 +64,10 @@ class SpectralResult:
 
 
 def build_mesh(a, b, n):
-    """Uniform n-node periodic mesh plus weight breakpoints, slivers merged."""
+    """Uniform n-node periodic mesh plus weight breakpoints, slivers merged.
+
+    A uniform node goes only for a breakpoint kept in its place, so the
+    mesh has at least n >= 8 nodes, enough for eigsh's k = 6."""
     if n < 8:
         raise ValueError("mesh requires n >= 8")
     base = np.linspace(0.0, TWO_PI, n, endpoint=False)
@@ -178,10 +181,6 @@ EIG_RESIDUAL_TOL = 1e-10
 SCALE_LIMIT = 1e154
 
 
-def _deflate(v, ones_mass, ones_mass_norm):
-    return v - (ones_mass @ v) / ones_mass_norm
-
-
 def _csc_product(mat):
     """x -> mat @ x for a float vector x, bit for bit, on a CSC matrix.
 
@@ -261,19 +260,17 @@ def best_constant(a, b, n=2048):
     # scale estimate from a deflated cosine test vector, used to place
     # the shift
     v = np.cos(mesh.nodes)
-    v = _deflate(v, ones_mass, ones_mass_norm)
+    v = v - (ones_mass @ v) / ones_mass_norm
     lam_est = float(v @ stiff_product(v)) / float(v @ mass_product(v))
     if lam_est <= 0:
         raise SolverError("trial Rayleigh quotient is nonpositive")
 
     sigma = -0.5 * lam_est
-    k = min(6, m - 2)
     try:
-        # K and M share one pattern, so this is scipy's stiff - sigma * mass,
-        # which drops exact zeros (on a copy: K keeps its pattern)
+        # K - sigma M on K's pattern, which M shares; an entry that cancels
+        # to 0.0 stays a structural zero (on a copy: K keeps its data)
         shifted = stiff.copy()
         shifted.data -= sigma * mass.data
-        shifted.eliminate_zeros()
         lu = spla.splu(shifted)
         # eigsh calls the matvec of M and of OPinv on every Lanczos step;
         # the bare functions there skip LinearOperator's shape checks and
@@ -286,12 +283,13 @@ def best_constant(a, b, n=2048):
         # a fixed start vector and restart generator keep repeated solves
         # bit-reproducible; in this mode eigsh reads only the shape and
         # dtype of its first argument
-        vals, vecs = spla.eigsh(stiff, k=k, M=mass_op, sigma=sigma,
+        vals, vecs = spla.eigsh(stiff, k=6, M=mass_op, sigma=sigma,
                                 which="LM", v0=v / np.linalg.norm(v),
                                 OPinv=inv_op, rng=0)
     except Exception as exc:  # ARPACK / factorization failure
         raise SolverError(f"generalized eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
+    # keep: the deflation's dot products round on the reindexed vecs' layout
     vals, vecs = vals[order], vecs[:, order]
 
     # the constant mode has the largest a-weighted mean; lambda_1 is the
@@ -300,9 +298,12 @@ def best_constant(a, b, n=2048):
     i1 = int(np.argmax(means) == 0)
     lam1 = float(vals[i1])
     if lam1 <= 0:
-        raise SolverError("lambda_1 is nonpositive (assembly bug?)")
+        raise SolverError(f"lambda_1 = {lam1:.3g} at unit scale is "
+                          "nonpositive: cancellation in the stiffness matrix "
+                          "lost it (b's contrast ess sup b / ess inf b = "
+                          f"{eb.sup / eb.inf:.3g})")
 
-    u = _deflate(vecs[:, i1], ones_mass, ones_mass_norm)
+    u = vecs[:, i1] - (ones_mass @ vecs[:, i1]) / ones_mass_norm
     target = TWO_PI * math.ldexp(mean_a, -2 * i)
     u = u * math.sqrt(target / float(u @ mass_product(u)))
     abs_u = np.abs(u)

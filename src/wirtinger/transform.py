@@ -161,31 +161,51 @@ def c_pq(M, p, q):
     return 2.0 / (1.0 + float(M) ** (-(p - q) / 2.0))
 
 
+_TOO_STEEP = ("M = {:g}, p = {:g}, q = {:g} is too steep for floats: a piece "
+              "of the extremal map has zero width")
+
+
+def _slope_ratio(M, p, q, name):
+    """M^(-(p-q)/2), the ratio of the extremal map's two slopes."""
+    if p + q <= 0:
+        raise ValueError(f"{name} requires p + q > 0")
+    try:
+        return float(M) ** (-(p - q) / 2.0)
+    except OverflowError:
+        raise ValueError(_TOO_STEEP.format(M, p, q)) from None
+
+
+def _require_width(cuts, M, p, q):
+    """ValueError where the cuts of [0, 2pi), h_pq's values or h_pq_inv's
+    breakpoints, fail to rise strictly below 2pi: a piece of zero width.
+    A nan M passes, for PeriodicWeight to refuse as not finite."""
+    if np.any(np.diff(cuts, append=TWO_PI) <= 0.0):
+        raise ValueError(_TOO_STEEP.format(M, p, q))
+
+
 def h_pq(M, p, q):
     """Piecewise-linear homeomorphism tau -> theta for the extremal family.
 
     Slopes c*{1, M^(-(p-q)/2)} alternating on the four quarter-intervals.
     Requires p + q > 0.
     """
-    if p + q <= 0:
-        raise ValueError("h_pq requires p + q > 0")
-    m = float(M) ** (-(p - q) / 2.0)
+    m = _slope_ratio(M, p, q, "h_pq")
     c = 2.0 / (1.0 + m)
     half = math.pi / 2.0
     bp = np.array([0.0, half, math.pi, 3 * half])
     vals = c * np.array([0.0, half, half * (1.0 + m), half * (2.0 + m)])
+    _require_width(vals, M, p, q)
     slopes = c * np.array([1.0, m, 1.0, m])
     return PiecewiseLinearMap(bp, vals, slopes)
 
 
 def h_pq_inv(M, p, q):
     """Inverse of h_pq, per its explicit four-case form."""
-    if p + q <= 0:
-        raise ValueError("h_pq_inv requires p + q > 0")
-    m = float(M) ** (-(p - q) / 2.0)
+    m = _slope_ratio(M, p, q, "h_pq_inv")
     c = 2.0 / (1.0 + m)
     half = math.pi / 2.0
     bp = np.array([0.0, c * half, math.pi, math.pi + c * half])
+    _require_width(bp, M, p, q)
     vals = np.array([0.0, half, math.pi, 3 * half])
     slopes = np.array([1.0 / c, 1.0 / (c * m), 1.0 / c, 1.0 / (c * m)])
     return PiecewiseLinearMap(bp, vals, slopes)

@@ -16,7 +16,8 @@ import wirtinger
 from wirtinger import PeriodicWeight
 from wirtinger.cli import (WeightParseError, _json, main, parse_angle,
                            parse_weight)
-from wirtinger.sharpness import extremal_weight_pq
+from wirtinger.sharpness import (PowerWeightPair, bound_power,
+                                 extremal_weight_pq)
 from wirtinger.spectral import SolverError
 
 TWO_PI = 2 * math.pi
@@ -95,6 +96,20 @@ def test_bound_command(capsys):
     assert report["results"]["bound"] == pytest.approx(6.25, rel=1e-12)
 
 
+# bar-gamma:4,1,0's bound is the one the pinned `verify` prints; 1e31 is
+# the last decade of M whose weight's breakpoints floats still resolve
+@pytest.mark.parametrize("gamma,M,bound", [
+    ("bar-gamma:4,1,0", 4.0, 2.8948746075226688),
+    ("bar-gamma:1e31,1,0", 1e31, 6997643603500538.0)])
+def test_bound_gamma_command(gamma, M, bound, capsys):
+    assert main(["bound", "--gamma", gamma, "--p", "1", "--q", "0"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    pair = PowerWeightPair.create(parse_weight(gamma), 1.0, 0.0)
+    assert res == {"bound": bound, "formula": "power", "M": M, "p": 1,
+                   "q": 0}
+    assert res["bound"] == bound_power(pair)
+
+
 def test_verify_command(capsys):
     rc = main(["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1",
                "--q", "0", "--n", "512"])
@@ -168,6 +183,13 @@ def test_parse_error_exit_code(capsys):
     # identities, and as the mean in a power bound
     ["transform-check", "--a", "const:1e308", "--b", "const:1"],
     ["bound", "--gamma", "pwc:0=1,3=1e308", "--p", "2", "--q", "0"],
+    # an extremal family too steep for floats: 1 + M^(-(p-q)/2) rounds to 1
+    ["bound", "--gamma", "bar-gamma:1e32,1,0", "--p", "1", "--q", "0"],
+    ["bound", "--gamma", "bar-gamma:1e16,2,0", "--p", "1", "--q", "0"],
+    ["bound", "--gamma", "bar-gamma:1e64,0.5,0", "--p", "1", "--q", "0"],
+    # ... or whose slope ratio M^(-(p-q)/2) is 0 or overflows
+    ["bound", "--gamma", "bar-gamma:inf,1,0", "--p", "1", "--q", "0"],
+    ["bound", "--gamma", "bar-gamma:1e300,0,4", "--p", "1", "--q", "0"],
 ])
 def test_out_of_domain_argument_exit_code(argv, tmp_path, monkeypatch,
                                           capsys):
@@ -318,6 +340,22 @@ def test_result_outside_the_float_range_is_a_solver_error(argv, message,
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"solver error: {message}"]
+
+
+# a contrast in b below SCALE_LIMIT whose lambda_1 the cancellation in K
+# destroys: refused with both numbers, and assembly is not blamed
+@pytest.mark.parametrize("n,K", [("8", "1e17"), ("64", "1e150")])
+def test_b_contrast_lost_to_cancellation_is_a_solver_error(n, K, capfd):
+    assert main(["solve", "--a", "const:1", "--b", f"pwc:0=1,3={K}",
+                 "--n", n]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    head, _, tail = line.partition(" at unit scale is nonpositive: ")
+    assert head.startswith("solver error: lambda_1 = ")
+    assert float(head.rpartition(" ")[2]) <= 0.0
+    assert tail == ("cancellation in the stiffness matrix lost it (b's "
+                    f"contrast ess sup b / ess inf b = {float(K):g})")
 
 
 # each diagonal entry of K sums two elements' b / h, so on a uniform mesh

@@ -73,9 +73,12 @@ def _dense_mesh_nodes(a, b, n):
 
 
 def _assert_mesh_matches_dense(a, b, n):
-    nodes = build_mesh(a, b, n).nodes
-    assert np.array_equal(nodes, _dense_mesh_nodes(a, b, n))
-    return nodes
+    mesh = build_mesh(a, b, n)
+    assert np.array_equal(mesh.nodes, _dense_mesh_nodes(a, b, n))
+    # a uniform node goes only for a breakpoint kept within tol of it, so
+    # m >= n >= 8, which best_constant's k = 6 eigenpairs rely on
+    assert mesh.n >= n
+    return mesh.nodes
 
 
 def test_build_mesh_matches_dense_on_uniform_nodes():

@@ -247,6 +247,21 @@ def test_piecewise_linear_map_rejects_a_gap_on_either_axis():
         two_pieces(1e-3, 1e-6)
 
 
+def test_h_pq_of_a_family_too_steep_for_floats_is_refused():
+    # c = 2 / (1 + 1e-16) rounds to 2: h_pq_inv's breakpoints would be
+    # [0, pi, pi, 2pi] and h_pq's values the same
+    for fn in (h_pq_inv, h_pq):
+        with pytest.raises(ValueError, match=r"M = 1e\+32, p = 1, q = 0 is "
+                           "too steep for floats: a piece of the extremal "
+                           "map has zero width"):
+            fn(1e32, 1.0, 0.0)
+        # the slope ratio M^(-(p-q)/2) overflows
+        with pytest.raises(ValueError, match=r"M = 1e\+300, p = 0, q = 4 is "
+                           "too steep for floats"):
+            fn(1e300, 0.0, 4.0)
+    assert np.all(np.diff(h_pq_inv(1e31, 1.0, 0.0).breakpoints) > 0.0)
+
+
 def test_h_pq_rejects_nonpositive_p_plus_q():
     with pytest.raises(ValueError):
         h_pq(4.0, 1.0, -1.0)
