@@ -150,20 +150,22 @@ def _report_csv(report):
 
 
 def _require_numbers(args, *names):
-    """Reject a list option that was given empty or with a non-finite number."""
+    """Reject a non-finite number, or a list option given empty."""
     for name in names:
         values = getattr(args, name)
         flag = "--" + name.replace("_", "-")
         if values == []:
             raise ValueError(f"{flag} needs at least one number")
-        if not all(map(math.isfinite, values or [])):
-            raise ValueError(f"{flag} must hold finite numbers, got {values}")
+        numbers = [values] if isinstance(values, float) else values or []
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{flag} must be finite, got {values}")
 
 
 # -- command handlers --------------------------------------------------------
 
 
 def _cmd_bound(args):
+    _require_numbers(args, "p", "q")
     if args.gamma is not None:
         if args.p is None or args.q is None:
             raise ValueError("bound --gamma needs both --p and --q")
@@ -194,6 +196,7 @@ def _cmd_solve(args):
 
 
 def _cmd_extremal(args):
+    _require_numbers(args, "p", "q")
     if args.samples < 1:
         raise ValueError(
             f"extremal --samples must be >= 1, got {args.samples}")
@@ -221,6 +224,7 @@ def _verify_row(gamma, p, q, n):
 
 
 def _cmd_verify(args):
+    _require_numbers(args, "p", "q")
     pair, report, results = _verify_row(parse_weight(args.gamma), args.p,
                                         args.q, args.n)
     is_sharp, phase, residual = sharpness.sharpness_characterization(

@@ -91,8 +91,8 @@ def build_mesh(a, b, n):
     return Mesh(nodes=np.sort(np.concatenate((base[keep], bp))))
 
 
-def _element_entries(a, b, mesh):
-    """Per-element stiffness and local mass entries (kdiag, m00, m01, m11).
+def _element_entries(a, b, mesh, i=0, j=0):
+    """Element entries (kdiag, m00, m01, m11) of b / 4^j and a / 4^i.
 
     Element e joins nodes e and e+1 (mod m); its stiffness block is
     kdiag[e] * [[1, -1], [-1, 1]] and its mass block [[m00, m01], [m01,
@@ -110,12 +110,14 @@ def _element_entries(a, b, mesh):
     av = np.asarray(a.eval(pts)).reshape(-1, 4)
     bv = np.asarray(b.eval(pts)).reshape(-1, 4)
     phi0, phi1 = 1.0 - GAUSS_NODES, GAUSS_NODES
-    # local mass entries: h * sum_k gw_k a_k phi_i(x_k) phi_j(x_k)
-    m00 = h * (av @ (GAUSS_WEIGHTS * phi0 * phi0))
-    m01 = h * (av @ (GAUSS_WEIGHTS * phi0 * phi1))
-    m11 = h * (av @ (GAUSS_WEIGHTS * phi1 * phi1))
-    # local stiffness: (1/h) * sum_k gw_k b_k on the [[1,-1],[-1,1]] stencil
-    return (bv @ GAUSS_WEIGHTS) / h, m00, m01, m11
+    # a power of 4 scales each Gauss sum exactly, bar subnormals
+    sa, sb = math.ldexp(1.0, -2 * i), math.ldexp(1.0, -2 * j)
+    # local mass entries: h * sum_k gw_k a_k phi_i(x_k) phi_j(x_k) / 4^i
+    m00 = h * ((av @ (GAUSS_WEIGHTS * phi0 * phi0)) * sa)
+    m01 = h * ((av @ (GAUSS_WEIGHTS * phi0 * phi1)) * sa)
+    m11 = h * ((av @ (GAUSS_WEIGHTS * phi1 * phi1)) * sa)
+    # local stiffness: sum_k gw_k b_k / (4^j h) on the [[1,-1],[-1,1]] stencil
+    return (bv @ GAUSS_WEIGHTS) * sb / h, m00, m01, m11
 
 
 def _cyclic_csc(d0, off, d1):
@@ -145,15 +147,15 @@ def _cyclic_csc(d0, off, d1):
     return mat
 
 
-def assemble(a, b, mesh):
-    """Stiffness (from b) and mass (from a) matrices on the periodic mesh.
+def assemble(a, b, mesh, i=0, j=0):
+    """Stiffness (from b / 4^j) and mass (from a / 4^i) matrices on the mesh.
 
     Both are canonical CSC, cyclic tridiagonal, with one sparsity
     pattern; the mesh needs at least 3 nodes (ValueError otherwise).
     """
     if mesh.n < 3:
         raise ValueError("assemble requires a mesh of at least 3 nodes")
-    kdiag, m00, m01, m11 = _element_entries(a, b, mesh)
+    kdiag, m00, m01, m11 = _element_entries(a, b, mesh, i, j)
     return _cyclic_csc(kdiag, -kdiag, kdiag), _cyclic_csc(m00, m01, m11)
 
 
@@ -217,14 +219,12 @@ def best_constant(a, b, n=2048):
     of ROADMAP.md is the remedy).
 
     The solve runs at unit scale: C(4^i a, 4^j b) = 4^(i - j) C(a, b),
-    and K and M are scaled by the powers of 4 that bring each ess sup
-    into [1, 4); lambda_1 and the constant are scaled back.  A power of
-    4 on a or b thus scales the constant exactly, and only the contrast
-    of a weight is left to overflow.  Weights past SCALE_LIMIT, an a
-    whose integral over a period overflows, and a b whose K overflows on
-    the mesh raise SolverError before the eigensolve and before scipy is
-    imported; so does a constant outside the normal floats, after the
-    eigensolve.
+    and K and M are assembled from a / 4^i and b / 4^j, each ess sup in
+    [1, 4), so a power of 4 on a or b scales the constant exactly and
+    only a weight's contrast can overflow.  Weights past SCALE_LIMIT and
+    an a whose integral over a period overflows raise SolverError before
+    the eigensolve and the scipy import; so does a constant outside the
+    normal floats, after it.
     """
     ea, eb = a.ess_bounds(), b.ess_bounds()
     # 4^i <= ess sup a < 4^(i + 1), and likewise j for b
@@ -242,15 +242,8 @@ def best_constant(a, b, n=2048):
     if math.isinf(mean_a):
         raise SolverError("the integral of a over a period overflows a float")
     mesh = build_mesh(a, b, n)
-    # K, about b / h, is assembled in the caller's scale, and each of its
-    # diagonal entries sums two elements' b / h
-    if eb.sup / float(mesh.lengths.min()) > sys.float_info.max / 2:
-        raise SolverError("the stiffness matrix of b overflows a float on "
-                          f"this mesh (ess sup b = {eb.sup:.3g})")
     import scipy.sparse.linalg as spla
-    stiff, mass = assemble(a, b, mesh)
-    mass.data = np.ldexp(mass.data, -2 * i)
-    stiff.data = np.ldexp(stiff.data, -2 * j)
+    stiff, mass = assemble(a, b, mesh, i, j)
     stiff_product, mass_product = _csc_product(stiff), _csc_product(mass)
     m = mesh.n
     e = np.ones(m)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
                        build_cov, build_mesh, converge, rayleigh_quotient,
-                       sine_family, transported_geometric_mean)
+                       sine_family, spectral, transported_geometric_mean)
 from wirtinger.sharpness import (closed_form_pq0, extremal_fn_pq,
                                  extremal_weight_pq)
 from wirtinger.spectral import Mesh, SolverError, _csc_product
@@ -195,15 +195,37 @@ SLIVER = PeriodicWeight.piecewise([0, 1.3, 1.3 + 3e-12, 5.9], [1, 3, 2, 4])
     (SLIVER, SLIVER.power(-1.0), None),
 ], ids=["m3", "n8", "bar-a", "pwc500", "sine", "sliver"])
 def test_assemble_matches_coo_scatter(a, b, nodes):
-    # bitwise the same canonical CSC arrays, on meshes of m >= 3 nodes
+    # bitwise the same canonical CSC arrays, on meshes of m >= 3 nodes;
+    # from a / 4^i and b / 4^j, the data scaled by exactly 4^-i and 4^-j
     mesh = Mesh(nodes=nodes) if nodes is not None else build_mesh(
         a, b, 8 if a is ONE else 2048)
-    for got, ref in zip(assemble(a, b, mesh), _coo_assemble(a, b, mesh)):
-        assert type(got) is type(ref)
-        for name in ("indptr", "indices", "data"):
-            g, r = getattr(got, name), getattr(ref, name)
-            assert g.dtype == r.dtype
-            assert g.tobytes() == r.tobytes()
+    ref_stiff, ref_mass = _coo_assemble(a, b, mesh)
+    for i, j in [(0, 0), (2, -3), (-40, 40)]:
+        for got, ref, k in zip(assemble(a, b, mesh, i, j),
+                               (ref_stiff, ref_mass), (j, i)):
+            assert type(got) is type(ref)
+            for name in ("indptr", "indices", "data"):
+                g, r = getattr(got, name), getattr(ref, name)
+                assert g.dtype == r.dtype
+                if name == "data":
+                    r = np.ldexp(r, -2 * k)
+                assert g.tobytes() == r.tobytes()
+
+
+def test_best_constant_assembles_through_the_module_attribute(monkeypatch):
+    # the traced benchmark times assemble by replacing spectral.assemble,
+    # so best_constant must call it there, once, with its exponents: 4^2
+    # <= 48 < 4^3 and 4^-2 <= 1/8 < 4^-1
+    calls = []
+
+    def spy(a, b, mesh, i=0, j=0):
+        calls.append((i, j))
+        return assemble(a, b, mesh, i, j)
+
+    monkeypatch.setattr(spectral, "assemble", spy)
+    best_constant(PeriodicWeight.constant(48.0),
+                  PeriodicWeight.constant(0.125), 64)
+    assert calls == [(2, -2)]
 
 
 @pytest.mark.parametrize("a,b,mesh", [
@@ -706,6 +728,15 @@ def test_power_of_4_scaling_property(a, b, n, i, j):
     base = best_constant(a, b, n).constant
     scaled = best_constant(a.scale(4.0 ** i), b.scale(4.0 ** j), n).constant
     assert scaled == math.ldexp(base, 2 * (i - j))
+
+
+@pytest.mark.parametrize("n", [64, 96, 4096])
+def test_b_of_2_to_the_1020_scales_the_constant_exactly(n):
+    # K of b = 4^510 would overflow in the caller's scale; at unit scale
+    # it is the K of b = 1
+    big = PeriodicWeight.constant(2.0 ** 1020)
+    assert (best_constant(ONE, big, n).constant
+            == math.ldexp(best_constant(ONE, ONE, n).constant, -1020))
 
 
 def test_large_scale_solve_is_deterministic():
