@@ -1,8 +1,9 @@
 """Print one sha256 over the outcomes of every benchmark workload.
 
 Builds each workload of perfbench/workloads.py at seeds 1 and 2 and runs
-each distinct operation of a seed once, in label order.  The digest
-covers, in call order,
+each distinct operation of a seed once, in label order, under
+perfbench/spans.py's Tracer, which keeps every SpectralResult that
+`spectral.best_constant` returns.  The digest covers, in call order,
 
 * every SpectralResult that `spectral.best_constant` returns: constant,
   lambda_1 and residual as float.hex, then the bytes of the eigenfunction
@@ -31,8 +32,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import spans  # noqa: E402
 import workloads  # noqa: E402
-from wirtinger import spectral  # noqa: E402
 
 SEEDS = (1, 2)
 
@@ -48,26 +49,28 @@ def encode(value):
 
 def main():
     digest = hashlib.sha256()
-    best_constant = spectral.best_constant
-
-    def capture(*args, **kwargs):
-        res = best_constant(*args, **kwargs)
-        for x in (res.constant, res.lambda1, res.residual):
-            digest.update(float(x).hex().encode())
-        digest.update(res.eigenfunction.tobytes())
-        digest.update(res.nodes.tobytes())
-        return res
-
-    # the package and the workloads call it through the module attribute
-    spectral.best_constant = capture
-    for workload in workloads.WORKLOADS:
-        for seed in SEEDS:
-            ops = {op.label: op for op in workloads.build(workload, seed)}
-            for label in sorted(ops):
-                digest.update(f"{workload} {seed} {label}".encode())
-                digest.update(encode(ops[label].run()))
+    # the tracer keeps every SpectralResult that best_constant returns,
+    # in call order
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for workload in workloads.WORKLOADS:
+            for seed in SEEDS:
+                ops = {op.label: op for op in workloads.build(workload, seed)}
+                for label in sorted(ops):
+                    digest.update(f"{workload} {seed} {label}".encode())
+                    value = ops[label].run()
+                    for _, _, res in tracer.captured:
+                        for x in (res.constant, res.lambda1, res.residual):
+                            digest.update(float(x).hex().encode())
+                        digest.update(res.eigenfunction.tobytes())
+                        digest.update(res.nodes.tobytes())
+                    tracer.captured.clear()
+                    tracer.spans.clear()
+                    digest.update(encode(value))
+    finally:
+        tracer.uninstall()
     print(digest.hexdigest())
-
 
 if __name__ == "__main__":
     main()
