@@ -23,8 +23,11 @@ from .weights import (GAUSS_NODES, GAUSS_WEIGHTS, TWO_PI, PeriodicWeight,
 
 
 class SolverError(RuntimeError):
-    """Eigenvalue extraction failed, or its lambda_1 is nonpositive or
-    fails the eigenpair residual check."""
+    """best_constant cannot give the constant: a contrast past
+    SCALE_LIMIT, an a whose integral over a period overflows, a
+    nonpositive trial Rayleigh quotient, a failed eigensolve, a
+    nonpositive lambda_1, an eigenpair that fails the residual check, or
+    a constant outside the normal floats."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def build_mesh(a, b, n):
     return Mesh(nodes=np.sort(np.concatenate((base[keep], bp))))
 
 
-def _element_entries(a, b, mesh, i=0, j=0):
+def _element_entries(a, b, mesh, i, j):
     """Element entries (kdiag, m00, m01, m11) of b / 4^j and a / 4^i.
 
     Element e joins nodes e and e+1 (mod m); its stiffness block is

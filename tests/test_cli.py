@@ -69,14 +69,6 @@ def test_parse_weight_errors(spec):
         parse_weight(spec)
 
 
-def test_solve_command(capsys):
-    rc = main(["solve", "--a", "const:1", "--b", "const:1", "--n", "256"])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == 1
-    assert report["results"]["constant"] == pytest.approx(1.0, abs=1e-3)
-
-
 def test_solve_n_list_command(capsys):
     rc = main(["solve", "--a", "bar-a:4", "--b", "const:1",
                "--n-list", "128,256,512"])
@@ -87,13 +79,6 @@ def test_solve_n_list_command(capsys):
     assert list(ns) == [128, 256, 512]
     assert constants[0] < constants[1] < constants[2]
     assert res["lambda1"] == 1.0 / res["constant"]
-
-
-def test_bound_command(capsys):
-    rc = main(["bound", "--a", "bar-a:4", "--b", "inv:bar-a:4"])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["results"]["bound"] == pytest.approx(6.25, rel=1e-12)
 
 
 # bar-gamma:4,1,0's bound is the one the pinned `verify` prints; 1e31 is
@@ -110,24 +95,10 @@ def test_bound_gamma_command(gamma, M, bound, capsys):
     assert res["bound"] == bound_power(pair)
 
 
-def test_verify_command(capsys):
-    rc = main(["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1",
-               "--q", "0", "--n", "512"])
-    assert rc == 0
-    res = json.loads(capsys.readouterr().out)["results"]
-    assert res["sharp"] is True
-    assert res["bound"] == pytest.approx(2.895, abs=2e-3)
-    assert res["computed"] <= res["bound"] * (1 + 1e-4)
-    assert res["characterization"]["is_sharp"] is True
-
-
-def test_parse_error_exit_code(capsys):
-    rc = main(["bound", "--a", "nosuch:1", "--b", "const:1"])
-    assert rc == 2
-    assert "nosuch" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
+# every refusal that prints one line, as (argv, exit code, that line); a
+# bare argv is (argv, 2, None), whose line need only start with
+# "invalid argument: "
+REFUSALS = [row if isinstance(row, tuple) else (row, 2, None) for row in [
     ["verify", "--gamma", "bar-gamma:4,1,0", "--p", "-2", "--q", "1"],
     ["bound", "--gamma", "bar-gamma:4,1,0", "--p", "-2", "--q", "1"],
     ["solve", "--a", "const:1", "--b", "const:1", "--n", "4"],
@@ -163,7 +134,8 @@ def test_parse_error_exit_code(capsys):
     ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "4", "--q", "4"],
     ["verify", "--gamma", "pwc:0=1,3=1e200", "--p", "2", "--q", "0",
      "--n", "64"],
-    ["bound", "--a", "const:1e300", "--b", "const:1e-12"],
+    (["bound", "--a", "const:1e300", "--b", "const:1e-12"], 2,
+     "invalid argument: combined weight overflows a float"),
     ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "4", "--q", "0"],
     ["bound", "--a", "pow:2:sine:1e200", "--b", "const:1"],
     # a power modifier without its weight, a sine family below M = 1
@@ -181,7 +153,8 @@ def test_parse_error_exit_code(capsys):
     ["sweep", "--n", "64"],
     # a weight whose integral over a period overflows: in the substitution
     # identities, and as the mean in a power bound
-    ["transform-check", "--a", "const:1e308", "--b", "const:1"],
+    (["transform-check", "--a", "const:1e308", "--b", "const:1"], 2,
+     "invalid argument: the integral of a over a period overflows a float"),
     ["bound", "--gamma", "pwc:0=1,3=1e308", "--p", "2", "--q", "0"],
     # an extremal family too steep for floats: 1 + M^(-(p-q)/2) rounds to 1
     ["bound", "--gamma", "bar-gamma:1e32,1,0", "--p", "1", "--q", "0"],
@@ -195,28 +168,63 @@ def test_parse_error_exit_code(capsys):
     ["verify", "--gamma", "const:3", "--p", "inf", "--q", "0", "--n", "32"],
     ["bound", "--gamma", "const:2", "--p", "nan", "--q", "0"],
     ["extremal", "--family", "ps", "--q=-inf"],
-])
-def test_out_of_domain_argument_exit_code(argv, tmp_path, monkeypatch,
-                                          capsys):
+    ["extremal", "--family", "pq", "--M", "4", "--p", "nan"],
+    (["bound", "--a", "nosuch:1", "--b", "const:1"], 2,
+     "invalid argument: unknown weight family 'nosuch'"),
+    # a ratio, product or power of weights that is not finite, or a
+    # period integral that overflows, named in its own words
+    (["bound", "--a", "const:1e300", "--b", "const:1e300"], 2,
+     "invalid argument: combined weight overflows a float"),
+    (["bound", "--a", "pow:2:const:1e200", "--b", "const:1"], 2,
+     "invalid argument: powered weight overflows a float"),
+    (["bound", "--a", "const:1e-12", "--b", "const:1e300"], 2,
+     "invalid argument: combined weight falls below 1e-12"),
+    (["transform-check", "--a", "const:1e300", "--b", "const:1e308"], 2,
+     "invalid argument: the integral of b over a period overflows a float"),
+    # verify's coarsest mesh is n/4: n = 30 must not blame a 7-node mesh
+    (["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1", "--q", "0",
+      "--n", "30"], 2,
+     "invalid argument: verification requires n >= 32 (its coarsest mesh "
+     "is n/4)"),
+    # normalization by powers of 4 leaves the contrast of a weight: a
+    # high-contrast b leaves ess inf b tiny, whatever scale a has, and on
+    # the scaled weights ess sup b / min(1, ess inf a) is about a's contrast
+    *((["solve", "--a", a, "--b", b, "--n", "64"], 3,
+       f"solver error: ess sup {num} / min(1, ess inf {den}) = {ratio} "
+       "exceeds 1e+154 with each ess sup scaled into [1, 4); the "
+       "eigensolve would overflow")
+      for a, b, num, den, ratio in [
+          ("const:1", "pwc:0=1,3=1e200", "a", "b", "7.65e+199"),
+          ("const:1e-12", "pwc:0=1e100,3=1e300", "a", "b", "7.36e+199"),
+          ("pwc:0=1,3=1e200", "const:1", "b", "a", "7.65e+199"),
+          ("pwc:0=1e-12,3=1e200", "const:1e200", "b", "a", "1e+212")]),
+    (["solve", "--a", "const:1e300", "--b", "const:1e-12", "--n", "64"], 3,
+     "solver error: the constant, 10^312.0, is outside the float range"),
+    (["solve", "--a", "const:1e-12", "--b", "const:1e300", "--n", "64"], 3,
+     "solver error: the constant, 10^-312.0, is outside the float range"),
+    # refused before the eigensolve: the eigenfunction is normalized to it
+    (["solve", "--a", "const:1.7e308", "--b", "const:1", "--n", "64"], 3,
+     "solver error: the integral of a over a period overflows a float"),
+]]
+
+
+# the ids are the row numbers, so an appended row renames no other
+@pytest.mark.parametrize("argv,code,line", REFUSALS,
+                         ids=[f"argv{i}" for i in range(len(REFUSALS))])
+def test_out_of_domain_argument_exit_code(argv, code, line, tmp_path,
+                                          monkeypatch, capfd):
     # a case that wrongly succeeds may write a file; it lands in tmp_path
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
+    assert main(argv) == code
+    # LAPACK writes its diagnostics through the file descriptors, which
+    # capsys does not see
+    captured = capfd.readouterr()
     assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("argv", [
-    ["extremal", "--family", "ps", "--L", "nan"],
-    ["extremal", "--family", "pq", "--M", "nan"],
-    ["extremal", "--family", "pq", "--M", "4", "--p", "nan"],
-])
-def test_non_finite_extremal_writes_no_file(argv, tmp_path, monkeypatch,
-                                            capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("invalid argument:")
+    [printed] = captured.err.splitlines()
+    if line is None:
+        assert printed.startswith("invalid argument: ")
+    else:
+        assert printed == line
     assert list(tmp_path.iterdir()) == []
 
 
@@ -251,27 +259,6 @@ def test_sweep_row_whose_bound_overflows_is_an_error_cell(capsys):
     assert "error" not in rows[1] and rows[1]["bound"] > rows[1]["computed"]
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["bound", "--a", "const:1e300", "--b", "const:1e-12"],
-     "combined weight overflows a float"),
-    (["bound", "--a", "const:1e300", "--b", "const:1e300"],
-     "combined weight overflows a float"),
-    (["bound", "--a", "pow:2:const:1e200", "--b", "const:1"],
-     "powered weight overflows a float"),
-    (["bound", "--a", "const:1e-12", "--b", "const:1e300"],
-     "combined weight falls below 1e-12"),
-    (["transform-check", "--a", "const:1e308", "--b", "const:1"],
-     "the integral of a over a period overflows a float"),
-    (["transform-check", "--a", "const:1e300", "--b", "const:1e308"],
-     "the integral of b over a period overflows a float"),
-])
-def test_derived_weight_error_names_the_computation(argv, message, capsys):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"invalid argument: {message}"]
-
-
 # the integral of a overflows, or the product ab's, of which bound_general
 # takes only the range; filterwarnings = error fails a numpy warning
 @pytest.mark.parametrize("a,b,bound", [("const:1e308", "const:1", 1e308),
@@ -280,38 +267,6 @@ def test_bound_needs_no_integral_that_overflows(a, b, bound, capsys):
     assert main(["bound", "--a", a, "--b", b]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["bound"] == pytest.approx(bound, rel=1e-15)
-
-
-# normalization by powers of 4 leaves the contrast of a weight: a
-# high-contrast b leaves ess inf b tiny, whatever scale a has
-@pytest.mark.parametrize("a,b", [("const:1", "pwc:0=1,3=1e200"),
-                                 ("const:1e-12", "pwc:0=1e100,3=1e300")])
-def test_weights_past_the_scale_limit_fail_before_the_eigensolve(a, b, capfd):
-    # LAPACK writes its diagnostics through the file descriptors, which
-    # capsys does not see
-    assert main(["solve", "--a", a, "--b", b, "--n", "64"]) == 3
-    captured = capfd.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("solver error: ess sup a / min(1, ess inf b) = ")
-    assert line.endswith("exceeds 1e+154 with each ess sup scaled into "
-                         "[1, 4); the eigensolve would overflow")
-
-
-@pytest.mark.parametrize("a,b,ratio", [
-    ("pwc:0=1,3=1e200", "const:1", "7.65e+199"),
-    ("pwc:0=1e-12,3=1e200", "const:1e200", "1e+212")])
-def test_large_b_past_the_scale_limit_fails_before_the_eigensolve(a, b, ratio,
-                                                                  capfd):
-    # on the scaled weights, ess sup b / min(1, ess inf a) is about the
-    # contrast of a
-    assert main(["solve", "--a", a, "--b", b, "--n", "64"]) == 3
-    captured = capfd.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"solver error: ess sup b / min(1, ess inf a) = {ratio} exceeds "
-        "1e+154 with each ess sup scaled into [1, 4); the eigensolve would "
-        "overflow"]
 
 
 # K's diagonal 2 b / h would overflow a float in the caller's scale from
@@ -338,23 +293,6 @@ def test_large_weights_solve_at_unit_scale(a, b, n, rel, capsys):
         unit = json.loads(capsys.readouterr().out)["results"]["constant"]
     ratio = float(a.split(":")[1]) / float(b.split(":")[1])
     assert constant == pytest.approx(unit * ratio, rel=rel)
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["--a", "const:1e300", "--b", "const:1e-12", "--n", "64"],
-     "the constant, 10^312.0, is outside the float range"),
-    (["--a", "const:1e-12", "--b", "const:1e300", "--n", "64"],
-     "the constant, 10^-312.0, is outside the float range"),
-    # refused before the eigensolve: the eigenfunction is normalized to it
-    (["--a", "const:1.7e308", "--b", "const:1", "--n", "64"],
-     "the integral of a over a period overflows a float"),
-], ids=["C=1e312", "C=1e-312", "integral-of-a"])
-def test_result_outside_the_float_range_is_a_solver_error(argv, message,
-                                                          capfd):
-    assert main(["solve", *argv]) == 3
-    captured = capfd.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"solver error: {message}"]
 
 
 # a contrast in b below SCALE_LIMIT whose lambda_1 the cancellation in K
@@ -473,17 +411,6 @@ def test_out_of_memory_exit_code(argv, allocator, tmp_path, monkeypatch,
     assert captured.err.splitlines() == [
         "out of memory: Unable to allocate 745. GiB for an array"]
     assert list(tmp_path.iterdir()) == []
-
-
-def test_verify_below_32_names_its_own_limit(capsys):
-    # verify's coarsest mesh is n/4: n = 30 must not blame a 7-node mesh
-    assert main(["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1",
-                 "--q", "0", "--n", "30"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "invalid argument: verification requires n >= 32 "
-        "(its coarsest mesh is n/4)"]
 
 
 def test_sweep_row_below_32_names_its_own_limit(capsys):

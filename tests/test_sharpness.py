@@ -24,13 +24,6 @@ def one_sided(fn, fn_prime, x, side, eps=1e-7):
     return float(fn(x0)) + side * eps * float(fn_prime(x0))
 
 
-def flux_one_sided(weight, fn_prime, x, side, eps=1e-7):
-    """Richardson-extrapolated one-sided limit of weight * fn'."""
-    f1 = float(weight.eval(x - side * eps)) * float(fn_prime(x - side * eps))
-    f2 = float(weight.eval(x - side * 2 * eps)) * float(fn_prime(x - side * 2 * eps))
-    return 2 * f1 - f2
-
-
 # -- bounds -------------------------------------------------------------
 
 
@@ -201,41 +194,12 @@ def test_paper_literal_mu_breaks_continuity():
     assert resid > 0.1
 
 
-def test_corrected_mu_gives_continuity_everywhere():
-    prof = extremal_fn_pq(4.0, 1.0, 0.0)
-    c = prof.constants["c_pq"]
-    for bp in (c * math.pi / 2, math.pi, math.pi + c * math.pi / 2, TWO_PI):
-        left = one_sided(prof.fn, prof.fn_prime, bp, -1)
-        right = one_sided(prof.fn, prof.fn_prime, bp, +1)
-        assert abs(left - right) <= 1e-12
-
-
-def test_transmission_continuity_corrected():
-    # gamma^q * w' is continuous across the weight jumps
-    M, p, q = 4.0, 1.0, 0.0
-    prof = extremal_fn_pq(M, p, q)
-    gq = prof.weight.power(q)
-    c = prof.constants["c_pq"]
-    for bp in (c * math.pi / 2, math.pi, math.pi + c * math.pi / 2, TWO_PI):
-        left = flux_one_sided(gq, prof.fn_prime, bp, -1)
-        right = flux_one_sided(gq, prof.fn_prime, bp, +1)
-        assert abs(left - right) <= 1e-10
-
-
 def test_extremal_fn_pq_constraint():
     prof = extremal_fn_pq(4.0, 1.0, 0.0)
     a = prof.weight.power(1.0)
     _, resid = rayleigh_quotient(a, prof.weight.power(0.0),
                                  prof.fn, prof.fn_prime)
     assert resid <= 1e-8
-
-
-def test_equality_attainment():
-    for M, p, q in [(4, 1, 0), (4, 2, 1), (9, 1, 1)]:
-        prof = extremal_fn_pq(M, p, q)
-        pair = PowerWeightPair.create(prof.weight, p, q)
-        quot, _ = rayleigh_quotient(pair.a, pair.b, prof.fn, prof.fn_prime)
-        assert quot == pytest.approx(bound_power(pair), rel=1e-6)
 
 
 # -- p + q = 0 closed form -------------------------------------------------
@@ -358,18 +322,6 @@ def test_extremal_family_golden_values(mpq, golden):
 
 
 # -- verification -----------------------------------------------------------
-
-
-def test_verify_sharpness_extremal_family():
-    gam = extremal_weight_pq(4.0, 1.0, 0.0)
-    rep = verify_sharpness(PowerWeightPair.create(gam, 1.0, 0.0), n=1024)
-    assert rep.sharp and abs(rep.relative_gap) <= 5e-3
-
-
-def test_verify_sharpness_sine_is_strict():
-    rep = verify_sharpness(PowerWeightPair.create(sine_family(4.0), 1.0, 0.0),
-                           n=1024)
-    assert not rep.sharp and rep.relative_gap > 0.01
 
 
 def test_verify_sharpness_sine_golden_values():
