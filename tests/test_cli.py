@@ -134,8 +134,7 @@ REFUSALS = [row if isinstance(row, tuple) else (row, 2, None) for row in [
     ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "4", "--q", "4"],
     ["verify", "--gamma", "pwc:0=1,3=1e200", "--p", "2", "--q", "0",
      "--n", "64"],
-    (["bound", "--a", "const:1e300", "--b", "const:1e-12"], 2,
-     "invalid argument: combined weight overflows a float"),
+    ["bound", "--a", "const:1e300", "--b", "const:1e-12"],
     ["bound", "--gamma", "pwc:0=1,3=1e200", "--p", "4", "--q", "0"],
     ["bound", "--a", "pow:2:sine:1e200", "--b", "const:1"],
     # a power modifier without its weight, a sine family below M = 1
@@ -153,8 +152,7 @@ REFUSALS = [row if isinstance(row, tuple) else (row, 2, None) for row in [
     ["sweep", "--n", "64"],
     # a weight whose integral over a period overflows: in the substitution
     # identities, and as the mean in a power bound
-    (["transform-check", "--a", "const:1e308", "--b", "const:1"], 2,
-     "invalid argument: the integral of a over a period overflows a float"),
+    ["transform-check", "--a", "const:1e308", "--b", "const:1"],
     ["bound", "--gamma", "pwc:0=1,3=1e308", "--p", "2", "--q", "0"],
     # an extremal family too steep for floats: 1 + M^(-(p-q)/2) rounds to 1
     ["bound", "--gamma", "bar-gamma:1e32,1,0", "--p", "1", "--q", "0"],
@@ -168,19 +166,8 @@ REFUSALS = [row if isinstance(row, tuple) else (row, 2, None) for row in [
     ["verify", "--gamma", "const:3", "--p", "inf", "--q", "0", "--n", "32"],
     ["bound", "--gamma", "const:2", "--p", "nan", "--q", "0"],
     ["extremal", "--family", "ps", "--q=-inf"],
-    ["extremal", "--family", "pq", "--M", "4", "--p", "nan"],
     (["bound", "--a", "nosuch:1", "--b", "const:1"], 2,
      "invalid argument: unknown weight family 'nosuch'"),
-    # a ratio, product or power of weights that is not finite, or a
-    # period integral that overflows, named in its own words
-    (["bound", "--a", "const:1e300", "--b", "const:1e300"], 2,
-     "invalid argument: combined weight overflows a float"),
-    (["bound", "--a", "pow:2:const:1e200", "--b", "const:1"], 2,
-     "invalid argument: powered weight overflows a float"),
-    (["bound", "--a", "const:1e-12", "--b", "const:1e300"], 2,
-     "invalid argument: combined weight falls below 1e-12"),
-    (["transform-check", "--a", "const:1e300", "--b", "const:1e308"], 2,
-     "invalid argument: the integral of b over a period overflows a float"),
     # verify's coarsest mesh is n/4: n = 30 must not blame a 7-node mesh
     (["verify", "--gamma", "bar-gamma:4,1,0", "--p", "1", "--q", "0",
       "--n", "30"], 2,
@@ -213,6 +200,10 @@ REFUSALS = [row if isinstance(row, tuple) else (row, 2, None) for row in [
                          ids=[f"argv{i}" for i in range(len(REFUSALS))])
 def test_out_of_domain_argument_exit_code(argv, code, line, tmp_path,
                                           monkeypatch, capfd):
+    _assert_refused(argv, code, line, tmp_path, monkeypatch, capfd)
+
+
+def _assert_refused(argv, code, line, tmp_path, monkeypatch, capfd):
     # a case that wrongly succeeds may write a file; it lands in tmp_path
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
@@ -226,6 +217,38 @@ def test_out_of_domain_argument_exit_code(argv, code, line, tmp_path,
     else:
         assert printed == line
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--family", "ps", "--L", "nan"],
+    ["extremal", "--family", "pq", "--M", "nan"],
+    ["extremal", "--family", "pq", "--M", "4", "--p", "nan"],
+])
+def test_non_finite_extremal_writes_no_file(argv, tmp_path, monkeypatch,
+                                            capfd):
+    _assert_refused(argv, 2, None, tmp_path, monkeypatch, capfd)
+
+
+# a ratio, product or power of weights that is not finite, or a period
+# integral that overflows, named in its own words
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--a", "const:1e300", "--b", "const:1e-12"],
+     "combined weight overflows a float"),
+    (["bound", "--a", "const:1e300", "--b", "const:1e300"],
+     "combined weight overflows a float"),
+    (["bound", "--a", "pow:2:const:1e200", "--b", "const:1"],
+     "powered weight overflows a float"),
+    (["bound", "--a", "const:1e-12", "--b", "const:1e300"],
+     "combined weight falls below 1e-12"),
+    (["transform-check", "--a", "const:1e308", "--b", "const:1"],
+     "the integral of a over a period overflows a float"),
+    (["transform-check", "--a", "const:1e300", "--b", "const:1e308"],
+     "the integral of b over a period overflows a float"),
+])
+def test_derived_weight_error_names_the_computation(argv, message, tmp_path,
+                                                    monkeypatch, capfd):
+    _assert_refused(argv, 2, f"invalid argument: {message}", tmp_path,
+                    monkeypatch, capfd)
 
 
 @pytest.mark.parametrize("argv", [
