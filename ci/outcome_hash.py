@@ -3,12 +3,15 @@
 Builds each workload of perfbench/workloads.py at seeds 1 and 2 and runs
 each distinct operation of a seed once, in label order, under
 perfbench/spans.py's Tracer, which keeps every SpectralResult that
-`spectral.best_constant` returns.  The digest covers, in call order,
+`spectral.best_constant` returns.  This script also wraps
+`spectral.fem_constant`, which `converge` calls, and keeps what it
+returns.  The digest covers, per operation,
 
-* every SpectralResult that `spectral.best_constant` returns: constant,
+* every SpectralResult that `spectral.best_constant` returns, then every
+  one that `spectral.fem_constant` returns, each in call order: constant,
   lambda_1 and residual as float.hex, then the bytes of the eigenfunction
   and of the nodes;
-* each operation's workload, seed, label and return value (floats as
+* the operation's workload, seed, label and return value (floats as
   float.hex).
 
 Two checkouts that print the same digest return the same bits on the
@@ -48,11 +51,19 @@ def encode(value):
 
 
 def main():
+    from wirtinger import spectral
     digest = hashlib.sha256()
     # the tracer keeps every SpectralResult that best_constant returns,
-    # in call order
+    # in call order, and `recorded` every one that fem_constant returns
     tracer = spans.Tracer()
     tracer.install()
+    fem_constant, fem_results = spectral.fem_constant, []
+
+    def recorded(*args, **kwargs):
+        fem_results.append(fem_constant(*args, **kwargs))
+        return fem_results[-1]
+
+    spectral.fem_constant = recorded
     try:
         for workload in workloads.WORKLOADS:
             for seed in SEEDS:
@@ -60,15 +71,18 @@ def main():
                 for label in sorted(ops):
                     digest.update(f"{workload} {seed} {label}".encode())
                     value = ops[label].run()
-                    for _, _, res in tracer.captured:
+                    captured = [res for _, _, res in tracer.captured]
+                    for res in captured + fem_results:
                         for x in (res.constant, res.lambda1, res.residual):
                             digest.update(float(x).hex().encode())
                         digest.update(res.eigenfunction.tobytes())
                         digest.update(res.nodes.tobytes())
                     tracer.captured.clear()
                     tracer.spans.clear()
+                    fem_results.clear()
                     digest.update(encode(value))
     finally:
+        spectral.fem_constant = fem_constant
         tracer.uninstall()
     print(digest.hexdigest())
 

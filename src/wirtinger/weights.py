@@ -295,12 +295,14 @@ def panel_quadrature(breakpoints):
     """
     cuts = sorted_unique(np.concatenate([[0.0, TWO_PI], *breakpoints]))
     cuts = cuts[(cuts >= 0.0) & (cuts <= TWO_PI)]
-    lefts, widths = [], []
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        k = max(1, int(math.ceil(PANELS * (right - left) / TWO_PI)))
-        lefts.append(np.linspace(left, right, k + 1)[:-1])
-        widths.append(np.full(k, (right - left) / k))
-    lefts, widths = np.concatenate(lefts), np.concatenate(widths)
+    span = np.diff(cuts)
+    counts = np.maximum(1, np.ceil(PANELS * span / TWO_PI)).astype(np.intp)
+    # np.linspace(left, right, k + 1)[:-1], piece by piece: its arange(k)
+    # times (right - left) / k, plus left
+    widths = np.repeat(span / counts, counts)
+    index = np.arange(widths.size) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    lefts = index * widths + np.repeat(cuts[:-1], counts)
     return ((lefts[:, None] + widths[:, None] * GAUSS_NODES).ravel(),
             (widths[:, None] * GAUSS_WEIGHTS).ravel())
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wirtinger
-from wirtinger import PeriodicWeight
+from wirtinger import PeriodicWeight, spectral
 from wirtinger.cli import (WeightParseError, _json, main, parse_angle,
                            parse_weight)
 from wirtinger.sharpness import (PowerWeightPair, bound_power,
@@ -293,7 +293,7 @@ def test_bound_needs_no_integral_that_overflows(a, b, bound, capsys):
 
 
 # K's diagonal 2 b / h would overflow a float in the caller's scale from
-# about b = 8.83e306 at n = 64; best_constant assembles K at unit scale
+# about b = 8.83e306 at n = 64; fem_constant assembles K at unit scale
 @pytest.mark.parametrize("a,b,n,rel", [
     *(pytest.param(a, b, "64", 1e-13, id=f"{a}-{b}") for a, b in [
         ("const:1e200", "const:1"), ("const:1", "const:1e200"),
@@ -305,30 +305,33 @@ def test_bound_needs_no_integral_that_overflows(a, b, bound, capsys):
 def test_large_weights_solve_at_unit_scale(a, b, n, rel, capsys):
     # C(const s, const t) = (s / t) C(1, 1) on the same mesh, to a
     # roundoff that grows with n; the discrete C(1, 1) is pinned at n = 64
-    # and solved live on the other meshes
+    # and solved live on the other meshes.  `solve` prints the exact
+    # constant s / t
+    ratio = float(a.split(":")[1]) / float(b.split(":")[1])
     assert main(["solve", "--a", a, "--b", b, "--n", n]) == 0
     constant = json.loads(capsys.readouterr().out)["results"]["constant"]
+    assert constant == pytest.approx(ratio, rel=1e-15)
+    constant = spectral.fem_constant(parse_weight(a), parse_weight(b),
+                                     int(n)).constant
     if n == "64":
         unit = 0.9991971967547243
     else:
-        assert main(["solve", "--a", "const:1", "--b", "const:1",
-                     "--n", n]) == 0
-        unit = json.loads(capsys.readouterr().out)["results"]["constant"]
-    ratio = float(a.split(":")[1]) / float(b.split(":")[1])
+        unit = spectral.fem_constant(parse_weight("const:1"),
+                                     parse_weight("const:1"), int(n)).constant
     assert constant == pytest.approx(unit * ratio, rel=rel)
 
 
 # a contrast in b below SCALE_LIMIT whose lambda_1 the cancellation in K
-# destroys: refused with both numbers, and assembly is not blamed
+# destroys: fem_constant refuses it with both numbers, and does not blame
+# assembly
 @pytest.mark.parametrize("n,K", [("8", "1e17"), ("64", "1e150")])
-def test_b_contrast_lost_to_cancellation_is_a_solver_error(n, K, capfd):
-    assert main(["solve", "--a", "const:1", "--b", f"pwc:0=1,3={K}",
-                 "--n", n]) == 3
-    captured = capfd.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    head, _, tail = line.partition(" at unit scale is nonpositive: ")
-    assert head.startswith("solver error: lambda_1 = ")
+def test_b_contrast_lost_to_cancellation_is_a_solver_error(n, K):
+    with pytest.raises(SolverError) as refusal:
+        spectral.fem_constant(parse_weight("const:1"),
+                              parse_weight(f"pwc:0=1,3={K}"), int(n))
+    head, _, tail = str(refusal.value).partition(
+        " at unit scale is nonpositive: ")
+    assert head.startswith("lambda_1 = ")
     assert float(head.rpartition(" ")[2]) <= 0.0
     assert tail == ("cancellation in the stiffness matrix lost it (b's "
                     f"contrast ess sup b / ess inf b = {float(K):g})")
@@ -392,9 +395,10 @@ def test_arpack_failure_exit_code(monkeypatch, capsys):
     def unconverged(*args, **kwargs):
         raise spla.ArpackNoConvergence("synthetic no convergence", [], [])
 
-    # best_constant looks eigsh up in scipy.sparse.linalg at call time
+    # best_constant looks eigsh up in scipy.sparse.linalg at call time; a
+    # sampled weight takes the finite-element path
     monkeypatch.setattr(spla, "eigsh", unconverged)
-    rc = main(["solve", "--a", "const:1", "--b", "const:1", "--n", "64"])
+    rc = main(["solve", "--a", "sine:4", "--b", "const:1", "--n", "64"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -403,7 +407,7 @@ def test_arpack_failure_exit_code(monkeypatch, capsys):
 
 
 def test_eigenpair_residual_failure_exit_code(perturbed_eigsh, capsys):
-    rc = main(["solve", "--a", "const:1", "--b", "const:1", "--n", "64"])
+    rc = main(["solve", "--a", "sine:4", "--b", "const:1", "--n", "64"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -665,8 +669,9 @@ def test_benchmark_reference_bytes_at_two_blas_threads(name, two_thread_run):
     assert {file: files[file] for file in expected} == expected
 
 
-# the closed forms, the extremal profiles and the transform need numpy's
-# core only, and a solve refused before the eigensolve needs no scipy
+# the closed forms, the extremal profiles, the transform and the solve of
+# a piecewise-constant pair need numpy's core only, and a solve refused
+# before the eigensolve needs no scipy
 _REFUSED = {"pwc:0=1,3=1e200": "ess sup b / min(1, ess inf a) = ",
             "const:1.7e308": "the integral of a over a period overflows"}
 _CLOSED_FORM_ARGVS = [
@@ -676,6 +681,8 @@ _CLOSED_FORM_ARGVS = [
     ["transform-check", "--a", "sine:4", "--b", "pwc:0=1,1=3,2.5=2,4=5"],
     ["transform-check", "--a", "bar-gamma:4,1,0", "--b", "const:1",
      "--seed", "1"],
+    # a piecewise-constant pair is solved by transfer matrices
+    ["solve", "--a", "bar-a:4", "--b", "inv:bar-a:4", "--n", "2048"],
     *(["solve", "--a", a, "--b", "const:1", "--n", "64"] for a in _REFUSED)]
 
 
@@ -700,11 +707,12 @@ def test_closed_form_commands_run_without_scipy(closed_form_run, tmp_path,
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     monkeypatch.chdir(tmp_path)
     for argv, (rc, out, err) in zip(_CLOSED_FORM_ARGVS, runs, strict=True):
-        expected = 3 if argv[0] == "solve" else 0
+        refused = argv[0] == "solve" and argv[2] in _REFUSED
+        expected = 3 if refused else 0
         assert rc == expected, (argv, err)
         assert main(argv) == expected
         assert out == capsys.readouterr().out
-        if argv[0] == "solve":
+        if refused:
             [line] = err.splitlines()
             assert line.startswith("solver error: " + _REFUSED[argv[2]])
     written = _file_digests(cold_dir)

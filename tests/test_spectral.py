@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
                        build_mesh, converge, rayleigh_quotient, sine_family,
                        spectral)
-from wirtinger.sharpness import (closed_form_pq0, extremal_fn_pq,
+from wirtinger.cli import main
+from wirtinger.sharpness import (PowerWeightPair, bound_power,
+                                 closed_form_pq0, extremal_fn_pq,
                                  extremal_weight_pq)
-from wirtinger.spectral import Mesh, SolverError, _csc_product
-from wirtinger.weights import GAUSS_NODES, GAUSS_WEIGHTS
+from wirtinger.spectral import (Mesh, SolverError, _csc_product,
+                                exact_constant, fem_constant)
+from wirtinger.weights import GAUSS_NODES, GAUSS_WEIGHTS, panel_quadrature
 
 TWO_PI = 2 * math.pi
 ONE = PeriodicWeight.constant(1.0)
@@ -223,8 +227,8 @@ def test_best_constant_assembles_through_the_module_attribute(monkeypatch):
         return assemble(a, b, mesh, i, j)
 
     monkeypatch.setattr(spectral, "assemble", spy)
-    best_constant(PeriodicWeight.constant(48.0),
-                  PeriodicWeight.constant(0.125), 64)
+    fem_constant(PeriodicWeight.constant(48.0),
+                 PeriodicWeight.constant(0.125), 64)
     assert calls == [(2, -2)]
 
 
@@ -287,7 +291,7 @@ def test_best_constant_reciprocal_pair():
 
 
 def test_eigenfunction_normalization_and_sign():
-    res = best_constant(ABAR, ABAR, 512)
+    res = fem_constant(ABAR, ABAR, 512)
     _, mass = assemble(ABAR, ABAR, build_mesh(ABAR, ABAR, 512))
     u = res.eigenfunction
     assert float(u @ (mass @ u)) == pytest.approx(TWO_PI * ABAR.mean(), rel=1e-12)
@@ -358,13 +362,13 @@ def test_converge_aligned_discontinuous():
 def test_converge_without_monotone_levels_has_no_order(monkeypatch, levels):
     # d1 / d2 <= 0, or d2 == 0: no order, and the finest constant stands
     from wirtinger import spectral
-    real = spectral.best_constant
+    real = spectral.fem_constant
     constants = dict(zip([64, 128, 256], levels))
 
     def fake(a, b, n):
         return dataclasses.replace(real(a, b, n), constant=constants[n])
 
-    monkeypatch.setattr(spectral, "best_constant", fake)
+    monkeypatch.setattr(spectral, "fem_constant", fake)
     res = converge(ONE, ONE, [64, 128, 256])
     assert res.estimated_order is None
     assert res.constant == levels[-1] and res.lambda1 == 1.0 / levels[-1]
@@ -410,25 +414,27 @@ def test_upper_bound_property(a, b):
     assert res.constant <= bound_general(a, b) + 1e-6
 
 
-# float.hex of (constant, lambda1, residual), recorded before the
-# eigensolve ran on the cyclic tridiagonals (COO assembly, scipy's own
-# shifted factorization and operators); the bar-a cell at n = 32768,
-# whose last bits depend on the BLAS thread count, on one thread
+# float.hex of (constant, lambda1, residual).  The sampled cells are
+# finite-element values, recorded before the eigensolve ran on the cyclic
+# tridiagonals (COO assembly, scipy's own shifted factorization and
+# operators).  The piecewise-constant cells are exact_constant's, each
+# within 1.3e-16 of its closed form in 40-digit arithmetic: bound_power,
+# (mean a)^2 of the float breakpoints, and ((4/pi) arctan 4^(-1/2))^(-2)
 BEST_CONSTANT_GOLDEN = [
     (sine_family(4.0), ONE, 512, ("0x1.49454a61e0fe9p+1",
                                   "0x1.8e115172431b4p-2",
                                   "0x1.181f21a3fb2a6p-54")),
     (extremal_weight_pq(4.0, 1.0, 0.0), ONE, 1024, (
-        "0x1.728ae06ae87d0p+1", "0x1.61bae25d38150p-2",
-        "0x1.3c4fa06c6f557p-54")),
-    (ABAR, ABAR.power(-1.0), 8192, ("0x1.8ffffdebbcdedp+2",
-                                    "0x1.47ae162ee8c49p-3",
-                                    "0x1.fd27840c46992p-57")),
-    (PWC500, PWC500.power(-1.0), 2048, ("0x1.8e8238af6c596p+2",
-                                        "0x1.48e800df77fa2p-3",
-                                        "0x1.00bd27524d45bp-54")),
-    (ABAR, ABAR, 32768, ("0x1.6f4b3af388193p+1", "0x1.64dbd18f39546p-2",
-                         "0x1.458d10117e02dp-53")),
+        "0x1.728b404aaa544p+1", "0x1.61ba86d72b075p-2",
+        "0x1.5b79c7bad5878p-53")),
+    (ABAR, ABAR.power(-1.0), 8192, ("0x1.9000000000001p+2",
+                                    "0x1.47ae147ae147ap-3",
+                                    "0x0.0p+0")),
+    (PWC500, PWC500.power(-1.0), 2048, ("0x1.8e8250c905da6p+2",
+                                        "0x1.48e7ecfb70551p-3",
+                                        "0x1.222c16687d17ep-55")),
+    (ABAR, ABAR, 32768, ("0x1.6f4b3b3dcbe0ep+1", "0x1.64dbd14711b1cp-2",
+                         "0x1.0e577bfb8549cp-53")),
     (sine_family(4.0), PWC_P, 1024, ("0x1.4e7318beda844p+0",
                                      "0x1.87e7522b19167p-1",
                                      "0x1.6c1346cdef2e5p-56")),
@@ -447,7 +453,7 @@ def test_best_constant_golden_values(a, b, n, golden):
 def test_eigenpair_residual_check_rejects_a_perturbed_vector(
         perturbed_eigsh):
     with pytest.raises(SolverError, match="eigenpair residual"):
-        best_constant(ABAR, ABAR, 512)
+        fem_constant(ABAR, ABAR, 512)
 
 
 @pytest.fixture
@@ -486,7 +492,7 @@ def shift_invert_solves(monkeypatch):
 ], ids=["const", "b-contrast-1e4"])
 def test_shift_invert_solve_count(b, shift_invert_solves):
     # const:1 against itself takes 41 solves at n = 1024
-    best_constant(ONE, b, 1024)
+    fem_constant(ONE, b, 1024)
     assert 0 < len(shift_invert_solves) <= 64
 
 
@@ -631,7 +637,7 @@ def test_best_constant_matches_the_extended_precision_oracle(a, b, n):
     # every mesh here has m <= 67 nodes; the O(m^3) mpmath eigensolve
     # takes ~3 s at m = 64, so those cells are marked slow
     oracle = oracle_lambda(a, b, n)
-    lam = best_constant(a, b, n).lambda1
+    lam = fem_constant(a, b, n).lambda1
     assert float(abs(lam - oracle) / oracle) <= 1e-12
 
 
@@ -713,15 +719,15 @@ def test_b_of_2_to_the_1020_scales_the_constant_exactly(n):
     # K of b = 4^510 would overflow in the caller's scale; at unit scale
     # it is the K of b = 1
     big = PeriodicWeight.constant(2.0 ** 1020)
-    assert (best_constant(ONE, big, n).constant
-            == math.ldexp(best_constant(ONE, ONE, n).constant, -1020))
+    assert (fem_constant(ONE, big, n).constant
+            == math.ldexp(fem_constant(ONE, ONE, n).constant, -1020))
 
 
 def test_large_scale_solve_is_deterministic():
     # solved at the user's scale, this pair gave several constants in as
     # many calls in one process
     a, b = PeriodicWeight.constant(1e120), ONE
-    constants = {best_constant(a, b, 64).constant.hex() for _ in range(6)}
+    constants = {fem_constant(a, b, 64).constant.hex() for _ in range(6)}
     assert len(constants) == 1
 
 
@@ -729,5 +735,250 @@ def test_restarted_solve_is_deterministic():
     # ARPACK asks for a restart vector on this pair, and the constant
     # depends on it in the last bits; best_constant seeds its generator
     w = PeriodicWeight.piecewise([0.0, 3.0], [1.0, 10 ** 116.5])
-    constants = {best_constant(w, w, 64).constant.hex() for _ in range(6)}
+    constants = {fem_constant(w, w, 64).constant.hex() for _ in range(6)}
     assert len(constants) == 1
+
+
+# -- the transfer-matrix constant of piecewise-constant pairs ---------------
+
+
+def mp_monodromy(a, b, lam):
+    """T(lam) of the pair in 40-digit arithmetic, at the caller's scale."""
+    starts = np.union1d(a.breakpoints, b.breakpoints)
+    ends = [mpmath.mpf(x) for x in starts[1:]] + [2 * mpmath.pi]
+    t = mpmath.eye(2)
+    for x, end in zip(starts, ends):
+        alpha, beta = mpmath.mpf(a.eval(x)), mpmath.mpf(b.eval(x))
+        k = mpmath.sqrt(lam * alpha / beta)
+        phase = k * (end - mpmath.mpf(x))
+        c, s = mpmath.cos(phase), mpmath.sin(phase)
+        t = mpmath.matrix([[c, s / (k * beta)],
+                           [-lam * alpha * s / k, c]]) * t
+    return t
+
+
+def mp_constant(a, b):
+    """exact_constant's bracket for lambda_1, run in 40-digit arithmetic.
+
+    The same march from half the larger of ess inf b / ess sup a and
+    1 / the paper's bound, up by 1.2, to the first point where tr T >= 2
+    or where T_12 turns positive; the roots come from mpmath's Illinois
+    solver, and the gap counts as closed where tr T(nu_2) - 2 is below
+    1e-30."""
+    with mpmath.workdps(40):
+        def trace2(lam):
+            t = mp_monodromy(a, b, lam)
+            return t[0, 0] + t[1, 1] - 2
+
+        def t12(lam):
+            return mp_monodromy(a, b, lam)[0, 1]
+
+        ab = np.concatenate((a.breakpoints, b.breakpoints))
+        prods = [mpmath.mpf(a.eval(x)) * mpmath.mpf(b.eval(x)) for x in ab]
+        mean_root = sqrt_ratio_mean(a, b)
+        ratio = mpmath.sqrt(mpmath.sqrt(min(prods) / max(prods)))
+        lam = max(mpmath.mpf(b.ess_bounds().inf) / a.ess_bounds().sup,
+                  ((4 / mpmath.pi) * mpmath.atan(ratio) / mean_root) ** 2) / 2
+        while True:
+            up = lam * mpmath.mpf("1.2")
+            if trace2(up) >= 0:
+                root = mpmath.findroot(trace2, (lam, up), solver="illinois")
+                break
+            if t12(lam) < 0 <= t12(up):
+                nu2 = mpmath.findroot(t12, (lam, up), solver="illinois")
+                root = (mpmath.findroot(trace2, (lam, nu2), solver="illinois")
+                        if trace2(nu2) > mpmath.mpf("1e-30") else nu2)
+                break
+            lam = up
+        return 1 / root
+
+
+def sqrt_ratio_mean(a, b):
+    """The mean of sqrt(a / b) over a period, in mpmath."""
+    starts = np.union1d(a.breakpoints, b.breakpoints)
+    ends = [mpmath.mpf(x) for x in starts[1:]] + [2 * mpmath.pi]
+    return sum((end - mpmath.mpf(x)) * mpmath.sqrt(
+        mpmath.mpf(a.eval(x)) / mpmath.mpf(b.eval(x)))
+        for x, end in zip(starts, ends)) / (2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("L", [2.0, 4.0, 10.0, 1e2, 1e4, 1e6])
+def test_exact_constant_of_the_square_wave(L):
+    abar = extremal_weight_pq(L, 1.0, 1.0)
+    with mpmath.workdps(40):
+        exact = (4 / mpmath.pi * mpmath.atan(mpmath.mpf(L) ** -0.5)) ** -2
+    assert float(abs(exact_constant(abar, abar) - exact) / exact) <= 1e-13
+
+
+@pytest.mark.parametrize("M,p,q", [(4.0, 1.0, 0.0), (9.0, 1.0, 1.0),
+                                   (4.0, 2.0, 1.0), (1e3, 1.0, 0.0),
+                                   (16.0, 0.5, 1.5)])
+def test_exact_constant_attains_bound_power(M, p, q):
+    # the paper's equality case: the extremal gamma of (M, p, q)
+    pair = PowerWeightPair.create(extremal_weight_pq(M, p, q), p, q)
+    assert exact_constant(pair.a, pair.b) == pytest.approx(
+        bound_power(pair), rel=1e-13)
+
+
+def pwc_many_weight(rng, count):
+    """A weight as perfbench's pwc-many workload draws it."""
+    while True:
+        bp = np.unique(rng.uniform(0.0, TWO_PI, count))
+        if bp.size == count:
+            return PeriodicWeight.piecewise(bp, rng.uniform(1.0, 4.0, count))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_exact_constant_of_the_benchmark_reciprocal_pairs(seed):
+    # C(a, 1/a) = (mean a)^2 on pwc-many's weights, 500 to 2000 pieces
+    rng = np.random.default_rng(seed)
+    for count in (500, 714, 929, 1143, 1357, 1571, 1786, 2000):
+        a = pwc_many_weight(rng, count)
+        exact = closed_form_pq0(a)[0]
+        assert exact_constant(a, a.power(-1.0)) == pytest.approx(
+            exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_exact_constant_within_the_richardson_error(seed):
+    # above every finite-element constant (Rayleigh-Ritz), and as close to
+    # the extrapolated one as that is to the finest level
+    a = pwc_many_weight(np.random.default_rng(seed), 500)
+    exact = exact_constant(a, ONE)
+    res = converge(a, ONE, [512, 1024, 2048])
+    assert all(exact >= c for _, c in res.history)
+    assert abs(exact - res.constant) <= abs(res.constant - res.history[-1][1])
+
+
+#: five-piece pairs, breakpoints off every pi / 2^k
+FIVE_PIECE_PAIRS = [
+    (PeriodicWeight.piecewise([0.0, 0.7, 1.9, 3.3, 5.1],
+                              [1.0, 3.0, 0.5, 2.0, 7.0]),
+     PeriodicWeight.piecewise([0.0, 1.1, 2.2, 4.0, 4.4],
+                              [2.0, 0.3, 1.0, 5.0, 1.5])),
+    (PeriodicWeight.piecewise([0.0, 0.3, 2.9, 3.0, 6.0],
+                              [10.0, 1.0, 100.0, 1.0, 0.1]), ONE),
+    (ONE, PeriodicWeight.piecewise([0.0, 1.0, 1.5, 4.0, 5.5],
+                                   [1.0, 1e4, 2.0, 1e-3, 4.0])),
+    (PWC_P, PWC_P.power(-1.0)),
+]
+
+
+@pytest.mark.parametrize("a,b", FIVE_PIECE_PAIRS,
+                         ids=["mixed", "a-only", "b-only", "reciprocal"])
+def test_exact_constant_matches_its_bracket_in_mpmath(a, b):
+    reference = mp_constant(a, b)
+    assert float(abs(exact_constant(a, b) - reference) / reference) <= 1e-15
+
+
+@pytest.mark.parametrize("K,n", [("1e8", "4096"), ("1e12", "1024"),
+                                 ("1e16", "8"), ("1e27", "8")])
+def test_b_contrast_solve_is_exact_or_refused(K, n, capsys):
+    # finite elements ran for minutes on the first and printed 0.462, 2
+    # (above C(1, 1) = 1) and 9.7e-12 on the others
+    b = f"pwc:0=1,3={K}"
+    start = time.perf_counter()
+    code = main(["solve", "--a", "const:1", "--b", b, "--n", n])
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert code in (0, 3)
+    if code == 0:
+        constant = json.loads(out)["results"]["constant"]
+        reference = mp_constant(ONE, PeriodicWeight.piecewise(
+            [0.0, 3.0], [1.0, float(K)]))
+        assert float(abs(constant - reference) / reference) <= 1e-12
+
+
+@given(pwc_weights(), pwc_weights(), mesh_sizes)
+@settings(max_examples=25, deadline=None)
+def test_exact_constant_bounds_property(a, b, n):
+    # at least every finite-element constant, at most the paper's bound,
+    # (mean a)^2 for the reciprocal pair, and its own bracket in mpmath
+    exact = exact_constant(a, b)
+    assert exact >= fem_constant(a, b, n).constant * (1 - 1e-12)
+    assert exact <= bound_general(a, b) * (1 + 1e-13)
+    assert exact_constant(a, a.power(-1.0)) == pytest.approx(
+        closed_form_pq0(a)[0], rel=1e-13)
+    assert exact == pytest.approx(float(mp_constant(a, b)), rel=1e-14)
+
+
+def test_exact_constant_refuses_a_sampled_weight():
+    with pytest.raises(ValueError, match="piecewise-constant"):
+        exact_constant(sine_family(4.0), ONE)
+
+
+@pytest.mark.parametrize("a,b", [(ABAR, ABAR), (PWC500, ONE),
+                                 (ONE, PeriodicWeight.piecewise(
+                                     [0.0, 3.0], [1.0, 1e27]))],
+                         ids=["bar-a", "pwc500", "b-contrast"])
+def test_exact_eigenfunction_is_normalized_signed_and_sampled(a, b):
+    # int a u^2 = int a, the first peak of |u| positive, on build_mesh's
+    # nodes; the eigenfunction and lambda_1 give back the constant
+    res = best_constant(a, b, 512)
+    mesh = build_mesh(a, b, 512)
+    assert np.array_equal(res.nodes, mesh.nodes) and res.n == mesh.n
+    assert res.constant == exact_constant(a, b)
+    assert res.lambda1 == pytest.approx(1 / res.constant, rel=1e-15)
+    assert res.residual <= 1e-14
+    u = res.eigenfunction
+    first = int(np.argmax(np.abs(u) >= (1 - 1e-8) * np.max(np.abs(u))))
+    assert u[first] > 0
+    i, j, bounds, mean_a = spectral._unit_scale(a, b)
+    hill, lam1 = spectral._exact_lambda1(a, b, i, j, bounds)
+    fn, _, norm = hill.eigenfunction(lam1)
+    w = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm) * fn(mesh.nodes)
+    assert np.max(np.abs(np.abs(u) - np.abs(w))) <= 1e-15 * np.max(np.abs(u))
+    # the normalization's closed form against the Gauss panels
+    pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])
+    assert float(np.sum(gw * np.ldexp(a.eval(pts), -2 * i) * fn(pts) ** 2)
+                 ) == pytest.approx(norm, rel=1e-12)
+
+
+def test_exact_path_counts_the_dirichlet_zeros():
+    # const:1 has Dirichlet eigenvalues (k / 2)^2 on [0, 2pi]
+    hill = spectral._Hill(ONE, ONE, 0, 0)
+    for lam in (0.2, 0.3, 0.9, 1.1, 2.2, 2.3, 5.0, 7.0, 100.3):
+        assert hill.dirichlet_zeros(lam) == sum(
+            1 for k in range(1, 100) if (k / 2) ** 2 < lam)
+
+
+def test_exact_path_refuses_an_uncertified_root(monkeypatch):
+    # lambda_3 = 4 of (1, 1) is a root of tr T = 2, but its Dirichlet
+    # solution has three zeros below it
+    monkeypatch.setattr(spectral._Hill, "lambda1", lambda self, lo, hi: 4.0)
+    with pytest.raises(SolverError, match="not certified as lambda_1"):
+        exact_constant(ONE, ONE)
+
+
+def test_exact_path_refuses_a_quotient_off_lambda_1(monkeypatch):
+    monkeypatch.setattr(spectral, "QUOTIENT_TOL", -1.0)
+    with pytest.raises(SolverError, match="Rayleigh quotient"):
+        best_constant(ABAR, ABAR, 64)
+
+
+def test_exact_path_gives_up_without_a_bracket():
+    # a march that ends before it starts, or whose T overflows
+    hill = spectral._Hill(ONE, ONE, 0, 0)
+    with pytest.raises(SolverError, match="no bracket"):
+        hill.lambda1(0.5, 0.1)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SolverError, match="no bracket"):
+            hill.lambda1(math.inf, math.inf)
+
+
+def test_root_refinement_bisects_and_gives_up():
+    # a step that overshoots the bracket is replaced by bisection; a
+    # non-finite step ends the search
+    root = spectral._refine(lambda x: (x < 2.0, 3.0 * (2.0 - x)), 1.0, 3.0,
+                            2.9)
+    assert root == pytest.approx(2.0, rel=1e-9)
+    with pytest.raises(SolverError, match="did not converge"):
+        spectral._refine(lambda x: (True, math.nan), 1.0, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("quad,lin,const,root", [
+    (0.0, 0.0, 1.0, 0.0), (0.0, 2.0, -4.0, 2.0), (1.0, 0.0, 0.0, 0.0),
+    (1.0, -3.0, 2.0, 1.0), (1.0, 0.0, 1.0, 0.0)])
+def test_smaller_root(quad, lin, const, root):
+    # linear and degenerate cases, and the real part of complex roots
+    assert spectral._smaller_root(quad, lin, const) == root

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from wirtinger import PeriodicWeight, PowerWeightPair, product, sine_family
 from wirtinger.sharpness import extremal_weight_pq
-from wirtinger.weights import (GAUSS_NODES, GAUSS_WEIGHTS, PROBE_POINTS,
+from wirtinger.weights import (GAUSS_NODES, GAUSS_WEIGHTS, PANELS,
+                               PROBE_POINTS, panel_quadrature,
                                sorted_unique)
 
 TWO_PI = 2 * math.pi
@@ -313,3 +314,31 @@ def test_sorted_unique_equals_np_unique_property(values):
     # of each run after its sort
     x = np.array(values + values[::3], dtype=float)
     assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
+
+
+def _looped_panel_quadrature(breakpoints):
+    """panel_quadrature as one np.linspace per piece (reference)."""
+    cuts = sorted_unique(np.concatenate([[0.0, TWO_PI], *breakpoints]))
+    cuts = cuts[(cuts >= 0.0) & (cuts <= TWO_PI)]
+    lefts, widths = [], []
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        k = max(1, int(math.ceil(PANELS * (right - left) / TWO_PI)))
+        lefts.append(np.linspace(left, right, k + 1)[:-1])
+        widths.append(np.full(k, (right - left) / k))
+    lefts, widths = np.concatenate(lefts), np.concatenate(widths)
+    return ((lefts[:, None] + widths[:, None] * GAUSS_NODES).ravel(),
+            (widths[:, None] * GAUSS_WEIGHTS).ravel())
+
+
+angles = st.one_of(st.floats(-1.0, 7.0), st.sampled_from(
+    [0.0, TWO_PI, math.pi, 1e-12, TWO_PI - 1e-12]))
+
+
+@given(st.lists(st.lists(angles, max_size=40), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_panel_quadrature_matches_one_linspace_per_piece_property(cut_lists):
+    # cuts outside [0, 2pi] are ignored, repeats merged, slivers kept
+    breakpoints = [np.array(cuts, dtype=float) for cuts in cut_lists]
+    for got, ref in zip(panel_quadrature(breakpoints),
+                        _looped_panel_quadrature(breakpoints)):
+        assert got.tobytes() == ref.tobytes()
