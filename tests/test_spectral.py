@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
-                       build_mesh, converge, rayleigh_quotient, sine_family,
-                       spectral)
+                       build_mesh, converge, hill, rayleigh_quotient,
+                       sine_family, spectral)
 from wirtinger.cli import main
 from wirtinger.sharpness import (PowerWeightPair, bound_power,
                                  closed_form_pq0, extremal_fn_pq,
@@ -924,8 +924,8 @@ def test_exact_eigenfunction_is_normalized_signed_and_sampled(a, b):
     first = int(np.argmax(np.abs(u) >= (1 - 1e-8) * np.max(np.abs(u))))
     assert u[first] > 0
     i, j, bounds, mean_a = spectral._unit_scale(a, b)
-    hill, lam1 = spectral._exact_lambda1(a, b, i, j, bounds)
-    fn, _, norm = hill.eigenfunction(lam1)
+    pieces, lam1 = hill.certified_lambda1(a, b, i, j, bounds)
+    fn, _, norm = pieces.eigenfunction(lam1)
     w = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm) * fn(mesh.nodes)
     assert np.max(np.abs(np.abs(u) - np.abs(w))) <= 1e-15 * np.max(np.abs(u))
     # the normalization's closed form against the Gauss panels
@@ -936,16 +936,16 @@ def test_exact_eigenfunction_is_normalized_signed_and_sampled(a, b):
 
 def test_exact_path_counts_the_dirichlet_zeros():
     # const:1 has Dirichlet eigenvalues (k / 2)^2 on [0, 2pi]
-    hill = spectral._Hill(ONE, ONE, 0, 0)
+    pieces = hill.Hill(ONE, ONE, 0, 0)
     for lam in (0.2, 0.3, 0.9, 1.1, 2.2, 2.3, 5.0, 7.0, 100.3):
-        assert hill.dirichlet_zeros(lam) == sum(
+        assert pieces.dirichlet_zeros(lam) == sum(
             1 for k in range(1, 100) if (k / 2) ** 2 < lam)
 
 
 def test_exact_path_refuses_an_uncertified_root(monkeypatch):
     # lambda_3 = 4 of (1, 1) is a root of tr T = 2, but its Dirichlet
     # solution has three zeros below it
-    monkeypatch.setattr(spectral._Hill, "lambda1", lambda self, lo, hi: 4.0)
+    monkeypatch.setattr(hill.Hill, "lambda1", lambda self, lo, hi: 4.0)
     with pytest.raises(SolverError, match="not certified as lambda_1"):
         exact_constant(ONE, ONE)
 
@@ -958,22 +958,22 @@ def test_exact_path_refuses_a_quotient_off_lambda_1(monkeypatch):
 
 def test_exact_path_gives_up_without_a_bracket():
     # a march that ends before it starts, or whose T overflows
-    hill = spectral._Hill(ONE, ONE, 0, 0)
+    pieces = hill.Hill(ONE, ONE, 0, 0)
     with pytest.raises(SolverError, match="no bracket"):
-        hill.lambda1(0.5, 0.1)
+        pieces.lambda1(0.5, 0.1)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match="no bracket"):
-            hill.lambda1(math.inf, math.inf)
+            pieces.lambda1(math.inf, math.inf)
 
 
 def test_root_refinement_bisects_and_gives_up():
     # a step that overshoots the bracket is replaced by bisection; a
     # non-finite step ends the search
-    root = spectral._refine(lambda x: (x < 2.0, 3.0 * (2.0 - x)), 1.0, 3.0,
+    root = hill._refine(lambda x: (x < 2.0, 3.0 * (2.0 - x)), 1.0, 3.0,
                             2.9)
     assert root == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(SolverError, match="did not converge"):
-        spectral._refine(lambda x: (True, math.nan), 1.0, 3.0, 2.0)
+        hill._refine(lambda x: (True, math.nan), 1.0, 3.0, 2.0)
 
 
 @pytest.mark.parametrize("quad,lin,const,root", [
@@ -981,4 +981,4 @@ def test_root_refinement_bisects_and_gives_up():
     (1.0, -3.0, 2.0, 1.0), (1.0, 0.0, 1.0, 0.0)])
 def test_smaller_root(quad, lin, const, root):
     # linear and degenerate cases, and the real part of complex roots
-    assert spectral._smaller_root(quad, lin, const) == root
+    assert hill._smaller_root(quad, lin, const) == root
