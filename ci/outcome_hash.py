@@ -1,11 +1,11 @@
-"""Print one sha256 over the outcomes of every benchmark workload.
+"""Print two sha256 digests over the outcomes of every benchmark workload.
 
 Builds each workload of perfbench/workloads.py at seeds 1 and 2 and runs
 each distinct operation of a seed once, in label order, under
 perfbench/spans.py's Tracer, which keeps every SpectralResult that
 `spectral.best_constant` returns.  This script also wraps
 `spectral.fem_constant`, which `converge` calls, and keeps what it
-returns.  The digest covers, per operation,
+returns.  The first digest covers, per operation,
 
 * every SpectralResult that `spectral.best_constant` returns, then every
   one that `spectral.fem_constant` returns, each in call order: constant,
@@ -14,9 +14,15 @@ returns.  The digest covers, per operation,
 * the operation's workload, seed, label and return value (floats as
   float.hex).
 
-Two checkouts that print the same digest return the same bits on the
-benchmark's inputs.  BLAS runs one thread, as in the benchmark.  Run from
-anywhere:
+The second digest, on the second line, covers only each operation's
+workload, seed, label and return value, and the constant and lambda_1 of
+every captured SpectralResult, as float.hex: it leaves out the
+eigenfunction, the nodes and the residual, which roundoff in the
+eigenfunction moves while the numbers the benchmark checks stay put.
+
+Two checkouts that print the same first digest return the same bits on
+the benchmark's inputs; the same second digest, the same constants.  BLAS
+runs one thread, as in the benchmark.  Run from anywhere:
 
     python ci/outcome_hash.py
 """
@@ -52,7 +58,7 @@ def encode(value):
 
 def main():
     from wirtinger import spectral
-    digest = hashlib.sha256()
+    digest, constants = hashlib.sha256(), hashlib.sha256()
     # the tracer keeps every SpectralResult that best_constant returns,
     # in call order, and `recorded` every one that fem_constant returns
     tracer = spans.Tracer()
@@ -69,22 +75,29 @@ def main():
             for seed in SEEDS:
                 ops = {op.label: op for op in workloads.build(workload, seed)}
                 for label in sorted(ops):
-                    digest.update(f"{workload} {seed} {label}".encode())
+                    name = f"{workload} {seed} {label}".encode()
+                    digest.update(name)
+                    constants.update(name)
                     value = ops[label].run()
                     captured = [res for _, _, res in tracer.captured]
                     for res in captured + fem_results:
                         for x in (res.constant, res.lambda1, res.residual):
                             digest.update(float(x).hex().encode())
+                        for x in (res.constant, res.lambda1):
+                            constants.update(float(x).hex().encode())
                         digest.update(res.eigenfunction.tobytes())
                         digest.update(res.nodes.tobytes())
                     tracer.captured.clear()
                     tracer.spans.clear()
                     fem_results.clear()
                     digest.update(encode(value))
+                    constants.update(encode(value))
     finally:
         spectral.fem_constant = fem_constant
         tracer.uninstall()
     print(digest.hexdigest())
+    print(constants.hexdigest())
+
 
 if __name__ == "__main__":
     main()

@@ -2,9 +2,12 @@
 
 For piecewise-constant a and b the solution crosses each piece by a 2x2
 matrix, and lambda_1 of the periodic problem is a root of tr T = 2 of
-their product T, the monodromy: no mesh is needed.  `spectral` loads
-this module on the first exact solve, so that importing `wirtinger`
-does not compile it.
+their product T, the monodromy: no mesh is needed.  T(lambda) is the
+root of a product tree whose levels are kept, so the states at every
+piece's start come from the same tree by a down-sweep, O(log pieces)
+numpy steps: one tree per lambda serves T, the Dirichlet count and the
+eigenfunction.  `spectral` loads this module on the first exact solve,
+so that importing `wirtinger` does not compile it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from .spectral import SolverError
-from .weights import TWO_PI, match_scalar, sorted_unique
+from .weights import TWO_PI, sorted_unique
 
 #: ratio between consecutive trial values of lambda in the march for
 #: lambda_1; no power of it is 2, so the march, which starts at half of a
@@ -32,7 +35,9 @@ class Hill:
     solution of -(b w')' = lambda a w has k = sqrt(lambda alpha / beta),
     and (w, b w') crosses the piece by the matrix
     [[cos kl, sin kl / (beta k)], [-lambda alpha sin kl / k, cos kl]];
-    the monodromy T(lambda) is their product from 0 to 2pi.
+    the monodromy T(lambda) is their product from 0 to 2pi, the root of
+    `tree`, and `sweep` carries a start vector down that tree to the
+    start of every piece.
     """
 
     def __init__(self, a, b, i, j):
@@ -78,45 +83,77 @@ class Hill:
             out[:, 3, 0] = -0.5 * lam * self.alpha * self.lengths * (sinc + c)
         return out
 
-    def monodromy(self, lam, derivative=False):
-        """T(lam), or [[T, 0], [lam T', T]] with `derivative`, a product
-        tree, on the state (w, b w' / g), g = sqrt(lam) `balance`.
+    def tree(self, lam, derivative=False):
+        """The levels of the product tree of the pieces' `matrices` at lam,
+        leaves first, root last.
+
+        Each level multiplies neighbouring pairs of the one below; where
+        that one has an odd count, its last node is multiplied into the
+        last pair, so a level's last node can span three of its children.
+        """
+        m = self.matrices(lam, derivative)
+        levels = [m]
+        while m.shape[0] > 1:
+            odd = m[-1] if m.shape[0] % 2 else None
+            m = m[1::2] @ m[0:m.shape[0] - 1:2]
+            if odd is not None:
+                m[-1] = odd @ m[-1]
+            levels.append(m)
+        return levels
+
+    def balanced(self, lam, root):
+        """A tree's root on the state (w, b w' / g), g = sqrt(lam)
+        `balance`.
 
         The change of state is a similarity: it keeps det(T - I) and the
         sign of T_12, and it keeps the entries of T, and the squares
         `_gap_edge` takes of them, within the floats as the impedances
         beta k run from 1e-154 to 1e154.
         """
-        m = self.matrices(lam, derivative)
-        while m.shape[0] > 1:
-            odd = m[-1] if m.shape[0] % 2 else None
-            m = m[1::2] @ m[0:m.shape[0] - 1:2]
-            if odd is not None:
-                m[-1] = odd @ m[-1]
         g = math.sqrt(lam) * self.balance
-        blocks = m[0].shape[0] // 2
-        return m[0] * np.tile([[1.0, g], [1.0 / g, 1.0]], (blocks, blocks))
+        blocks = root.shape[0] // 2
+        return root * np.tile([[1.0, g], [1.0 / g, 1.0]], (blocks, blocks))
 
-    def states(self, lam, v):
+    def monodromy(self, lam, derivative=False):
+        """T(lam), or [[T, 0], [lam T', T]] with `derivative`, `balanced`,
+        from its `tree`."""
+        return self.balanced(lam, self.tree(lam, derivative)[-1][0])
+
+    @staticmethod
+    def sweep(levels, v):
         """(w, b w') at unit scale at every piece's start and at 2pi, from
-        v at 0, one piece after the other."""
-        _, c, upper, lower = self.entries(lam)
-        w, f = v
-        ws, fs = [w], [f]
-        for cp, up, lo in zip(c.tolist(), upper.tolist(), lower.tolist()):
-            w, f = cp * w + up * f, lo * w + cp * f
-            ws.append(w)
-            fs.append(f)
-        return np.array(ws), np.array(fs)
+        v at 0, down a 2x2 `tree`.
 
-    def dirichlet_zeros(self, lam):
-        """Zeros in (0, 2pi) of the solution with w(0) = 0, b w'(0) = 1.
+        A node's first child starts where it does, its second where the
+        first ends, and an odd tail where the second ends: one batch of
+        matrix-vector products per level, from the root to the leaves.
+        """
+        w, f = np.array([v[0]]), np.array([v[1]])
+        for m in levels[-2::-1]:
+            n = m.shape[0]
+            first = m[0:n - 1:2]
+            ws, fs = np.empty(n), np.empty(n)
+            ws[0:n - 1:2], fs[0:n - 1:2] = w, f
+            ws[1::2] = first[:, 0, 0] * w + first[:, 0, 1] * f
+            fs[1::2] = first[:, 1, 0] * w + first[:, 1, 1] * f
+            if n % 2:
+                t = m[-2]
+                ws[-1] = t[0, 0] * ws[-2] + t[0, 1] * fs[-2]
+                fs[-1] = t[1, 0] * ws[-2] + t[1, 1] * fs[-2]
+            w, f = ws, fs
+        t = levels[0][-1]
+        return (np.append(w, t[0, 0] * w[-1] + t[0, 1] * f[-1]),
+                np.append(f, t[1, 0] * w[-1] + t[1, 1] * f[-1]))
+
+    def dirichlet_zeros(self, lam, levels):
+        """Zeros in (0, 2pi) of the solution with w(0) = 0, b w'(0) = 1,
+        from the `tree` at lam.
 
         A Sturm count, exact along the pieces: on each piece w = R sin(phi
         + k x) with a Pruefer angle phi, taken mod pi at both ends from the
         states there, so a zero on a piece's end is counted once.
         """
-        w, f = self.states(lam, (0.0, 1.0))
+        w, f = self.sweep(levels, (0.0, 1.0))
         # b w' / (beta k) = R cos: scale w by beta k
         g = math.sqrt(lam) * self.impedance
         start = np.mod(np.arctan2(g * w[:-1], f[:-1]), math.pi)
@@ -185,17 +222,21 @@ class Hill:
         return const > 0.0, lam * _smaller_root(quad, lin, const)
 
     def eigenfunction(self, lam):
-        """w and w' of the periodic solution at lam, as vectorized callables,
-        and the integral of a w^2 / 4^i over a period.
+        """w and w' of the periodic solution at lam, as one callable
+        theta -> (w, w') on an array of angles in [0, 2pi), and the
+        integral of a w^2 / 4^i over a period.
 
-        The start vector spans the kernel of T - I; the states at the
-        piece starts are its prefix products.
+        One `tree` at lam gives both: its root T, whose T - I has the
+        start vector in its kernel, and the states at the piece starts,
+        swept down from that vector.
         """
-        t = self.monodromy(lam) - np.eye(2)
+        levels = self.tree(lam)
+        t = self.balanced(lam, levels[-1][0]) - np.eye(2)
         row = t[0] if np.abs(t[0]).sum() >= np.abs(t[1]).sum() else t[1]
         v = (row[1], -row[0]) if np.any(row) else (1.0, 0.0)
-        # back from monodromy's state (w, b w' / g)
-        w, f = self.states(lam, (v[0], v[1] * math.sqrt(lam) * self.balance))
+        # back from the balanced state (w, b w' / g)
+        w, f = self.sweep(levels,
+                          (v[0], v[1] * math.sqrt(lam) * self.balance))
         w, slope = w[:-1], f[:-1] / self.beta     # w and w' at the starts
         k = math.sqrt(lam) * self.rate
         phase = k * self.lengths
@@ -208,21 +249,14 @@ class Hill:
             + w * slope * ell ** 2 * sinc * sinc
             + slope * slope * 2.0 * ell ** 3 * _x_minus_sin_x(2 * phase)))
 
-        def at(theta):
-            th = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-            p = np.searchsorted(self.starts, th, side="right") - 1
-            x = k[p] * (th - self.starts[p])
-            return p, np.cos(x), np.sin(x)
+        def values(theta):
+            p = np.searchsorted(self.starts, theta, side="right") - 1
+            kp, wp, sp = k[p], w[p], slope[p]
+            x = kp * (theta - self.starts[p])
+            c, s = np.cos(x), np.sin(x)
+            return wp * c + sp * s / kp, sp * c - wp * kp * s
 
-        def fn(theta):
-            p, c, s = at(theta)
-            return match_scalar(theta, w[p] * c + slope[p] * s / k[p])
-
-        def fn_prime(theta):
-            p, c, s = at(theta)
-            return match_scalar(theta, slope[p] * c - w[p] * k[p] * s)
-
-        return fn, fn_prime, norm
+        return values, norm
 
 
 def _x_minus_sin_x(x):
@@ -302,8 +336,9 @@ def certified_lambda1(a, b, i, j, bounds):
     hill = Hill(a, b, i, j)
     lam1 = hill.lambda1(hill.lower_bound(), 4.0 * sup_b / inf_a)
     below = lam1 * (1.0 - CERTIFY_OFFSET)
-    if not (_det_minus_identity(hill.monodromy(below)) > 0.0
-            and hill.dirichlet_zeros(below) == 1):
+    levels = hill.tree(below)
+    if not (_det_minus_identity(hill.balanced(below, levels[-1][0])) > 0.0
+            and hill.dirichlet_zeros(below, levels) == 1):
         raise SolverError(f"lambda = {lam1:.17g} at unit scale is not "
                           "certified as lambda_1 by the transfer matrix")
     return hill, lam1

@@ -396,16 +396,20 @@ def best_constant(a, b, n=2048):
     from .hill import certified_lambda1
     hill, lam1 = certified_lambda1(a, b, i, j, bounds)
     constant, lambda1 = _caller_scale(lam1, i, j)
-    fn, fn_prime, norm = hill.eigenfunction(lam1)
+    values, norm = hill.eigenfunction(lam1)
     scale = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm)
-    u = scale * fn(mesh.nodes)
+    u = scale * values(mesh.nodes)[0]
     abs_u = np.abs(u)
     first = int(np.argmax(abs_u >= (1.0 - 1e-8) * abs_u.max()))
     if u[first] < 0:
         u = -u
-    # rayleigh_quotient's sums, at unit scale
-    num, mom, absmom, den = _moments(a, b, lambda th: scale * fn(th),
-                                     lambda th: scale * fn_prime(th), i, j)
+    # rayleigh_quotient's sums, at unit scale, with a and b evaluated
+    # independently of the pieces
+    pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])
+    w, wprime = values(pts)
+    num, mom, absmom, den = weighted_moments(
+        gw, np.ldexp(a.eval(pts), -2 * i), np.ldexp(b.eval(pts), -2 * j),
+        scale * w, scale * wprime)
     error = abs(num / den * lam1 - 1.0)
     if not error <= QUOTIENT_TOL:
         raise SolverError(f"the eigenfunction's Rayleigh quotient times "
@@ -416,23 +420,19 @@ def best_constant(a, b, n=2048):
                           residual=abs(mom) / absmom)
 
 
-def _moments(a, b, w, wprime, i=0, j=0):
-    """`weighted_moments` of w with a / 4^i and b / 4^j on the points of
-    `panel_quadrature` cut at the breakpoints of a and b."""
-    pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])
-    return weighted_moments(gw, np.ldexp(a.eval(pts), -2 * i),
-                            np.ldexp(b.eval(pts), -2 * j), w(pts),
-                            wprime(pts))
-
-
 def rayleigh_quotient(a, b, w, wprime):
     """Quotient int a w^2 / int b w'^2 plus the constraint residual.
 
     `w` and its analytic derivative `wprime` are vectorized callables,
     integrated by `panel_quadrature` cut at the breakpoints of a and b.
+    ValueError where int b w'^2 <= 1e-14 int b w^2, a w whose derivative
+    is (numerically) zero whatever the scales of a and b.
     """
-    num, mom, absmom, den = _moments(a, b, w, wprime)
-    if den <= 1e-14 * num:
+    pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])
+    bv, wv = b.eval(pts), np.asarray(w(pts), dtype=float)
+    num, mom, absmom, den = weighted_moments(gw, a.eval(pts), bv, wv,
+                                             wprime(pts))
+    if den <= 1e-14 * float(np.sum(gw * bv * wv**2)):
         raise ValueError("input has (numerically) zero derivative")
     return num / den, abs(mom) / absmom
 

@@ -314,6 +314,17 @@ def test_rayleigh_quotient_rejects_a_constant_function():
         rayleigh_quotient(ONE, ONE, np.ones_like, np.zeros_like)
 
 
+@pytest.mark.parametrize("a,b,quotient", [
+    (PeriodicWeight.constant(1e15), ONE, 1e15),
+    (PeriodicWeight.constant(1e4), PeriodicWeight.constant(1e-11), 1e15),
+    (PeriodicWeight.constant(1e-11), PeriodicWeight.constant(1e4), 1e-15)])
+def test_rayleigh_quotient_takes_any_scale(a, b, quotient):
+    # the zero-derivative guard compares int b w'^2 with int b w^2, so
+    # the scales of a and b do not enter it
+    q, _ = rayleigh_quotient(a, b, np.cos, lambda t: -np.sin(t))
+    assert q == pytest.approx(quotient, rel=1e-12)
+
+
 def test_rayleigh_quotient_extremal_attains():
     prof = extremal_fn_pq(4.0, 1.0, 1.0)
     q, resid = rayleigh_quotient(ABAR, ABAR, prof.fn, prof.fn_prime)
@@ -426,13 +437,13 @@ BEST_CONSTANT_GOLDEN = [
                                   "0x1.181f21a3fb2a6p-54")),
     (extremal_weight_pq(4.0, 1.0, 0.0), ONE, 1024, (
         "0x1.728b404aaa544p+1", "0x1.61ba86d72b075p-2",
-        "0x1.5b79c7bad5878p-53")),
+        "0x1.5b79c7bad5876p-54")),
     (ABAR, ABAR.power(-1.0), 8192, ("0x1.9000000000001p+2",
                                     "0x1.47ae147ae147ap-3",
                                     "0x0.0p+0")),
     (PWC500, PWC500.power(-1.0), 2048, ("0x1.8e8250c905da6p+2",
                                         "0x1.48e7ecfb70551p-3",
-                                        "0x1.222c16687d17ep-55")),
+                                        "0x1.222c16687d17ep-53")),
     (ABAR, ABAR, 32768, ("0x1.6f4b3b3dcbe0ep+1", "0x1.64dbd14711b1cp-2",
                          "0x1.0e577bfb8549cp-53")),
     (sine_family(4.0), PWC_P, 1024, ("0x1.4e7318beda844p+0",
@@ -925,21 +936,114 @@ def test_exact_eigenfunction_is_normalized_signed_and_sampled(a, b):
     assert u[first] > 0
     i, j, bounds, mean_a = spectral._unit_scale(a, b)
     pieces, lam1 = hill.certified_lambda1(a, b, i, j, bounds)
-    fn, _, norm = pieces.eigenfunction(lam1)
-    w = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm) * fn(mesh.nodes)
+    values, norm = pieces.eigenfunction(lam1)
+    w = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm) * values(
+        mesh.nodes)[0]
     assert np.max(np.abs(np.abs(u) - np.abs(w))) <= 1e-15 * np.max(np.abs(u))
     # the normalization's closed form against the Gauss panels
     pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])
-    assert float(np.sum(gw * np.ldexp(a.eval(pts), -2 * i) * fn(pts) ** 2)
-                 ) == pytest.approx(norm, rel=1e-12)
+    assert float(np.sum(gw * np.ldexp(a.eval(pts), -2 * i)
+                        * values(pts)[0] ** 2)) == pytest.approx(norm,
+                                                                 rel=1e-12)
 
 
 def test_exact_path_counts_the_dirichlet_zeros():
     # const:1 has Dirichlet eigenvalues (k / 2)^2 on [0, 2pi]
     pieces = hill.Hill(ONE, ONE, 0, 0)
     for lam in (0.2, 0.3, 0.9, 1.1, 2.2, 2.3, 5.0, 7.0, 100.3):
-        assert pieces.dirichlet_zeros(lam) == sum(
+        assert pieces.dirichlet_zeros(lam, pieces.tree(lam)) == sum(
             1 for k in range(1, 100) if (k / 2) ** 2 < lam)
+
+
+def _looped_states(pieces, lam, v):
+    """(w, b w') at every piece's start and at 2pi, one piece after the
+    other (reference)."""
+    _, c, upper, lower = pieces.entries(lam)
+    w, f = v
+    ws, fs = [w], [f]
+    for cp, up, lo in zip(c.tolist(), upper.tolist(), lower.tolist()):
+        w, f = cp * w + up * f, lo * w + cp * f
+        ws.append(w)
+        fs.append(f)
+    return np.array(ws), np.array(fs)
+
+
+def _looped_dirichlet_zeros(pieces, lam):
+    """The Pruefer count of the Dirichlet solution from the looped
+    states (reference)."""
+    w, f = _looped_states(pieces, lam, (0.0, 1.0))
+    g = math.sqrt(lam) * pieces.impedance
+    start = np.mod(np.arctan2(g * w[:-1], f[:-1]), math.pi)
+    end = np.mod(np.arctan2(g * w[1:], f[1:]), math.pi)
+    turns = np.rint((start + math.sqrt(lam) * pieces.rate * pieces.lengths
+                     - end) / math.pi)
+    return int(turns.sum()) - int(w[-1] == 0.0)
+
+
+def _random_pair(rng, count):
+    """A pwc pair with `count` pieces in all, contrasts up to 1e12: a on
+    all the breakpoints, b on 0 and a random half of the others."""
+    bp = np.zeros(count)
+    while count > 1:
+        bp[1:] = np.sort(rng.uniform(0.0, TWO_PI, count - 1))
+        if np.all(np.diff(bp) > 0.0):
+            break
+    b_bp = bp[np.append(True, rng.random(count - 1) < 0.5)]
+
+    def values(size):
+        return 10.0 ** (rng.uniform(0.0, 1.0, size) * rng.uniform(0.0, 12.0))
+
+    return (PeriodicWeight.piecewise(bp, values(count)),
+            PeriodicWeight.piecewise(b_bp, values(b_bp.size)))
+
+
+# piece counts whose trees have odd levels above the leaves (6, 300) and
+# at the leaves (1, 3, 257, 299), then random ones up to 300
+SWEEP_COUNTS = [1, 2, 3, 6, 7, 13, 64, 255, 257, 299, 300]
+
+
+def test_swept_states_match_the_piece_by_piece_loop():
+    rng = np.random.default_rng(2005)
+    counts = SWEEP_COUNTS + list(rng.integers(1, 301, 190))
+    for count in counts:
+        a, b = _random_pair(rng, count)
+        i, j, _, _ = spectral._unit_scale(a, b)
+        pieces = hill.Hill(a, b, i, j)
+        assert pieces.starts.size == count
+        for factor in np.exp(rng.uniform(math.log(0.5), math.log(20.0), 2)):
+            lam = factor * pieces.lower_bound()
+            levels = pieces.tree(lam)
+            for v in ((0.0, 1.0), tuple(rng.normal(size=2))):
+                for got, ref in zip(pieces.sweep(levels, v),
+                                    _looped_states(pieces, lam, v)):
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(
+                        np.abs(ref)), (count, lam)
+            assert pieces.dirichlet_zeros(lam, levels) == (
+                _looped_dirichlet_zeros(pieces, lam)), (count, lam)
+
+
+def test_one_product_tree_per_lambda_besides_the_root_search(monkeypatch):
+    # the root search's trees, then one at lambda_1 (1 - 1e-9) for the
+    # certificate and one at lambda_1 for the eigenfunction: an extra
+    # tree, or a monodromy per piece, fails here
+    lams, searched = [], []
+    tree, lambda1 = hill.Hill.tree, hill.Hill.lambda1
+
+    def counted_tree(self, lam, derivative=False):
+        lams.append(lam)
+        return tree(self, lam, derivative)
+
+    def counted_lambda1(self, lam_lo, lam_hi):
+        root = lambda1(self, lam_lo, lam_hi)
+        searched.append(len(lams))
+        return root
+
+    monkeypatch.setattr(hill.Hill, "tree", counted_tree)
+    monkeypatch.setattr(hill.Hill, "lambda1", counted_lambda1)
+    res = best_constant(PWC500, ONE, 512)
+    assert searched[0] > 0 and len(lams) == searched[0] + 2
+    # PWC500 and ONE are at unit scale already
+    assert lams[-2:] == [res.lambda1 * (1 - hill.CERTIFY_OFFSET), res.lambda1]
 
 
 def test_exact_path_refuses_an_uncertified_root(monkeypatch):
