@@ -1,4 +1,4 @@
-"""Print two sha256 digests over the outcomes of every benchmark workload.
+"""Print three sha256 digests over the outcomes of every benchmark workload.
 
 Builds each workload of perfbench/workloads.py at seeds 1 and 2 and runs
 each distinct operation of a seed once, in label order, under
@@ -20,8 +20,14 @@ every captured SpectralResult, as float.hex: it leaves out the
 eigenfunction, the nodes and the residual, which roundoff in the
 eigenfunction moves while the numbers the benchmark checks stay put.
 
+The third digest covers only each operation's workload, seed and label
+and every SpectralResult that `spectral.fem_constant` returns, as the
+first digest takes it: a change to the exact path that leaves it alone
+left every finite-element bit alone.
+
 Two checkouts that print the same first digest return the same bits on
-the benchmark's inputs; the same second digest, the same constants.  BLAS
+the benchmark's inputs; the same second digest, the same constants; the
+same third digest, the same finite-element results.  BLAS
 runs one thread, as in the benchmark.  Run from anywhere:
 
     python ci/outcome_hash.py
@@ -56,9 +62,18 @@ def encode(value):
     return repr(value).encode()
 
 
+def add_result(h, res):
+    """A SpectralResult into h: constant, lambda_1 and residual as
+    float.hex, then the bytes of the eigenfunction and of the nodes."""
+    for x in (res.constant, res.lambda1, res.residual):
+        h.update(float(x).hex().encode())
+    h.update(res.eigenfunction.tobytes())
+    h.update(res.nodes.tobytes())
+
+
 def main():
     from wirtinger import spectral
-    digest, constants = hashlib.sha256(), hashlib.sha256()
+    digest, constants, fem = (hashlib.sha256() for _ in range(3))
     # the tracer keeps every SpectralResult that best_constant returns,
     # in call order, and `recorded` every one that fem_constant returns
     tracer = spans.Tracer()
@@ -76,17 +91,16 @@ def main():
                 ops = {op.label: op for op in workloads.build(workload, seed)}
                 for label in sorted(ops):
                     name = f"{workload} {seed} {label}".encode()
-                    digest.update(name)
-                    constants.update(name)
+                    for h in (digest, constants, fem):
+                        h.update(name)
                     value = ops[label].run()
                     captured = [res for _, _, res in tracer.captured]
                     for res in captured + fem_results:
-                        for x in (res.constant, res.lambda1, res.residual):
-                            digest.update(float(x).hex().encode())
+                        add_result(digest, res)
                         for x in (res.constant, res.lambda1):
                             constants.update(float(x).hex().encode())
-                        digest.update(res.eigenfunction.tobytes())
-                        digest.update(res.nodes.tobytes())
+                    for res in fem_results:
+                        add_result(fem, res)
                     tracer.captured.clear()
                     tracer.spans.clear()
                     fem_results.clear()
@@ -95,8 +109,8 @@ def main():
     finally:
         spectral.fem_constant = fem_constant
         tracer.uninstall()
-    print(digest.hexdigest())
-    print(constants.hexdigest())
+    for h in (digest, constants, fem):
+        print(h.hexdigest())
 
 
 if __name__ == "__main__":
