@@ -298,9 +298,11 @@ def _smaller_root(quad, lin, const):
 def _refine(step, lo, hi, lam):
     """A root in [lo, hi] by the steps of step(lam) -> (below, delta).
 
-    `below` says whether the root lies above lam.  A step that leaves the
-    bracket is replaced by bisection.  Stops at a step within 4 ulps, or
-    within 1e-10 relative once the steps stop halving, roundoff's floor.
+    `below` says whether the root lies above lam.  Stops at a step within
+    4 ulps, or within 1e-10 relative once the steps stop halving,
+    roundoff's floor.  Above that floor, a step that leaves the bracket or
+    is more than half the previous one is replaced by bisection, so that
+    steps which creep toward a gap edge cannot outlast the iterations.
     """
     previous = math.inf
     for _ in range(200):
@@ -315,10 +317,11 @@ def _refine(step, lo, hi, lam):
         if size <= 4 * math.ulp(lam) or (size <= 1e-10 * lam
                                          and size > 0.5 * previous):
             return min(max(lam + delta, lo), hi)
-        previous = size
-        lam += delta
-        if not lo < lam < hi:
+        if size <= 0.5 * previous and lo < lam + delta < hi:
+            lam += delta
+        else:
             lam = 0.5 * (lo + hi)
+        previous = size
     raise SolverError("the transfer-matrix root search did not converge")
 
 

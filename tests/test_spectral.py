@@ -913,6 +913,17 @@ def test_exact_constant_bounds_property(a, b, n):
     assert exact == pytest.approx(float(mp_constant(a, b)), rel=1e-14)
 
 
+def test_exact_root_search_does_not_creep_at_a_gap_edge():
+    # the gap-edge Newton steps shrank by 1 % a step and ran out of
+    # iterations, exit 3
+    a = PeriodicWeight.piecewise([0.0, 1.3, 1.96, 6.0],
+                                 [0.00115, 48.4, 0.000955, 2350.0])
+    b = PeriodicWeight.piecewise([0.0, 3.27, 3.59, 6.2],
+                                 [35400.0, 7.45e-06, 885.0, 0.384])
+    reference = mp_constant(a, b)
+    assert float(abs(exact_constant(a, b) - reference) / reference) <= 1e-13
+
+
 def test_exact_constant_refuses_a_sampled_weight():
     with pytest.raises(ValueError, match="piecewise-constant"):
         exact_constant(sine_family(4.0), ONE)
@@ -1071,11 +1082,13 @@ def test_exact_path_gives_up_without_a_bracket():
 
 
 def test_root_refinement_bisects_and_gives_up():
-    # a step that overshoots the bracket is replaced by bisection; a
-    # non-finite step ends the search
-    root = hill._refine(lambda x: (x < 2.0, 3.0 * (2.0 - x)), 1.0, 3.0,
-                            2.9)
-    assert root == pytest.approx(2.0, rel=1e-9)
+    # a step that overshoots the bracket, or one that creeps, shrinking
+    # by 1 % a step, is replaced by bisection; a non-finite step ends the
+    # search
+    for factor in (3.0, 0.01):
+        root = hill._refine(lambda x: (x < 2.0, factor * (2.0 - x)), 1.0,
+                            3.0, 2.9)
+        assert abs(root - 2.0) <= 1e-8, factor
     with pytest.raises(SolverError, match="did not converge"):
         hill._refine(lambda x: (True, math.nan), 1.0, 3.0, 2.0)
 
