@@ -53,14 +53,6 @@ class Hill:
         self.balance = (math.sqrt(self.impedance.min())
                         * math.sqrt(self.impedance.max()))
 
-    def entries(self, lam):
-        """kl, and the entries cos kl, sin kl / (beta k) and
-        -lambda alpha sin kl / k of each piece's matrix at lam."""
-        k = math.sqrt(lam) * self.rate
-        phase = k * self.lengths
-        c, s = np.cos(phase), np.sin(phase)
-        return phase, c, s / (k * self.beta), -lam * self.alpha * s / k
-
     def matrices(self, lam, derivative=False):
         """The pieces' matrices at lam, as an array (pieces, 2, 2).
 
@@ -68,15 +60,17 @@ class Hill:
         T' the derivative in lambda, whose products carry the product's
         lam T' in the same place.
         """
-        phase, c, upper, lower = self.entries(lam)
+        k = math.sqrt(lam) * self.rate
+        phase = k * self.lengths
+        c, s = np.cos(phase), np.sin(phase)
         out = np.empty((phase.size, 4, 4) if derivative else
                        (phase.size, 2, 2))
         out[:, 0, 0] = out[:, 1, 1] = c
-        out[:, 0, 1], out[:, 1, 0] = upper, lower
+        out[:, 0, 1] = s / (k * self.beta)
+        out[:, 1, 0] = -lam * self.alpha * s / k
         if derivative:
             out[:, :2, 2:] = 0.0
             out[:, 2:, 2:] = out[:, :2, :2]
-            s = np.sin(phase)
             sinc = s / phase
             out[:, 2, 0] = out[:, 3, 1] = -0.5 * s * phase
             out[:, 2, 1] = 0.5 * self.lengths / self.beta * (c - sinc)
@@ -325,19 +319,20 @@ def _refine(step, lo, hi, lam):
     raise SolverError("the transfer-matrix root search did not converge")
 
 
-def certified_lambda1(a, b, i, j, bounds):
+def certified_lambda1(a, b, i, j):
     """The Hill of (a, b) and its certified lambda_1 at unit scale.
 
-    The march starts at `Hill.lower_bound`, and gives up past 4 ess sup
-    b / ess inf a, above lambda_2 because C(a, b) >= (ess inf a / ess
+    The march starts at `Hill.lower_bound`, and gives up past 4 max beta
+    / min alpha, which is 4 ess sup b / ess inf a at unit scale, read
+    from the pieces: above lambda_2, because C(a, b) >= (ess inf a / ess
     sup b) C(1, 1) and lambda_2 of (1, 1) is 1.  At lambda_1 (1 -
     CERTIFY_OFFSET), tr T must be below 2 and the Dirichlet solution must
     have exactly one zero in (0, 2pi): else lambda_1 would be a later
     periodic eigenvalue, and SolverError.
     """
-    _, inf_a, sup_b, _ = bounds
     hill = Hill(a, b, i, j)
-    lam1 = hill.lambda1(hill.lower_bound(), 4.0 * sup_b / inf_a)
+    lam1 = hill.lambda1(hill.lower_bound(),
+                        4.0 * hill.beta.max() / hill.alpha.min())
     below = lam1 * (1.0 - CERTIFY_OFFSET)
     levels = hill.tree(below)
     if not (_det_minus_identity(hill.balanced(below, levels[-1][0])) > 0.0

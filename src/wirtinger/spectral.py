@@ -211,7 +211,6 @@ def _csc_product(mat):
 
 def _unit_scale(a, b):
     """Exponents i, j with 4^i <= ess sup a < 4^(i + 1), likewise j for b,
-    then the unit-scale bounds (sup a, inf a, sup b, inf b) / (4^i, 4^j)
     and the mean of a.
 
     SolverError for weights past SCALE_LIMIT and for an a whose integral
@@ -230,7 +229,16 @@ def _unit_scale(a, b):
     mean_a = a.mean()
     if math.isinf(mean_a):
         raise SolverError("the integral of a over a period overflows a float")
-    return i, j, (sup_a, inf_a, sup_b, inf_b), mean_a
+    return i, j, mean_a
+
+
+def _normalized(u, norm, mean_a, i):
+    """u scaled to int a u^2 = int a at unit scale, from norm = int a u^2
+    / 4^i, and signed so that the first peak of |u| is positive."""
+    u = u * math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm)
+    abs_u = np.abs(u)
+    first = int(np.argmax(abs_u >= (1.0 - 1e-8) * abs_u.max()))
+    return -u if u[first] < 0 else u
 
 
 def _caller_scale(lam1, i, j):
@@ -273,7 +281,7 @@ def fem_constant(a, b, n=2048):
     the eigensolve and the scipy import; so does a constant outside the
     normal floats, after it.
     """
-    i, j, (_, _, sup_b, inf_b), mean_a = _unit_scale(a, b)
+    i, j, mean_a = _unit_scale(a, b)
     mesh = build_mesh(a, b, n)
     import scipy.sparse.linalg as spla
     stiff, mass = assemble(a, b, mesh, i, j)
@@ -324,18 +332,14 @@ def fem_constant(a, b, n=2048):
     i1 = int(np.argmax(means) == 0)
     lam1 = float(vals[i1])
     if lam1 <= 0:
+        eb = b.ess_bounds()
         raise SolverError(f"lambda_1 = {lam1:.3g} at unit scale is "
                           "nonpositive: cancellation in the stiffness matrix "
                           "lost it (b's contrast ess sup b / ess inf b = "
-                          f"{sup_b / inf_b:.3g})")
+                          f"{eb.sup / eb.inf:.3g})")
 
     u = vecs[:, i1] - (ones_mass @ vecs[:, i1]) / ones_mass_norm
-    target = TWO_PI * math.ldexp(mean_a, -2 * i)
-    u = u * math.sqrt(target / float(u @ mass_product(u)))
-    abs_u = np.abs(u)
-    first = int(np.argmax(abs_u >= (1.0 - 1e-8) * abs_u.max()))
-    if u[first] < 0:
-        u = -u
+    u = _normalized(u, float(u @ mass_product(u)), mean_a, i)
     # ||K||_1, the largest column sum (spla.norm takes ~10x as long)
     stiff_norm = np.add.reduceat(np.abs(stiff.data), stiff.indptr[:-1]).max()
     eig_residual = np.linalg.norm(
@@ -372,9 +376,9 @@ def exact_constant(a, b):
     """
     if not _piecewise_pair(a, b):
         raise ValueError("exact_constant needs piecewise-constant weights")
-    i, j, bounds, _ = _unit_scale(a, b)
+    i, j, _ = _unit_scale(a, b)
     from .hill import certified_lambda1
-    _, lam1 = certified_lambda1(a, b, i, j, bounds)
+    _, lam1 = certified_lambda1(a, b, i, j)
     return _caller_scale(lam1, i, j)[0]
 
 
@@ -391,18 +395,14 @@ def best_constant(a, b, n=2048):
     """
     if not _piecewise_pair(a, b):
         return fem_constant(a, b, n)
-    i, j, bounds, mean_a = _unit_scale(a, b)
+    i, j, mean_a = _unit_scale(a, b)
     mesh = build_mesh(a, b, n)
     from .hill import certified_lambda1
-    hill, lam1 = certified_lambda1(a, b, i, j, bounds)
+    hill, lam1 = certified_lambda1(a, b, i, j)
     constant, lambda1 = _caller_scale(lam1, i, j)
     values, norm = hill.eigenfunction(lam1)
     scale = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm)
-    u = scale * values(mesh.nodes)[0]
-    abs_u = np.abs(u)
-    first = int(np.argmax(abs_u >= (1.0 - 1e-8) * abs_u.max()))
-    if u[first] < 0:
-        u = -u
+    u = _normalized(values(mesh.nodes)[0], norm, mean_a, i)
     # rayleigh_quotient's sums, at unit scale, with a and b evaluated
     # independently of the pieces
     pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])

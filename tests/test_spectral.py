@@ -945,8 +945,8 @@ def test_exact_eigenfunction_is_normalized_signed_and_sampled(a, b):
     u = res.eigenfunction
     first = int(np.argmax(np.abs(u) >= (1 - 1e-8) * np.max(np.abs(u))))
     assert u[first] > 0
-    i, j, bounds, mean_a = spectral._unit_scale(a, b)
-    pieces, lam1 = hill.certified_lambda1(a, b, i, j, bounds)
+    i, j, mean_a = spectral._unit_scale(a, b)
+    pieces, lam1 = hill.certified_lambda1(a, b, i, j)
     values, norm = pieces.eigenfunction(lam1)
     w = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm) * values(
         mesh.nodes)[0]
@@ -969,7 +969,8 @@ def test_exact_path_counts_the_dirichlet_zeros():
 def _looped_states(pieces, lam, v):
     """(w, b w') at every piece's start and at 2pi, one piece after the
     other (reference)."""
-    _, c, upper, lower = pieces.entries(lam)
+    m = pieces.matrices(lam)
+    c, upper, lower = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0]
     w, f = v
     ws, fs = [w], [f]
     for cp, up, lo in zip(c.tolist(), upper.tolist(), lower.tolist()):
@@ -1018,7 +1019,7 @@ def test_swept_states_match_the_piece_by_piece_loop():
     counts = SWEEP_COUNTS + list(rng.integers(1, 301, 190))
     for count in counts:
         a, b = _random_pair(rng, count)
-        i, j, _, _ = spectral._unit_scale(a, b)
+        i, j, _ = spectral._unit_scale(a, b)
         pieces = hill.Hill(a, b, i, j)
         assert pieces.starts.size == count
         for factor in np.exp(rng.uniform(math.log(0.5), math.log(20.0), 2)):
