@@ -6,8 +6,9 @@ their product T, the monodromy: no mesh is needed.  T(lambda) is the
 root of a product tree whose levels are kept, so the states at every
 piece's start come from the same tree by a down-sweep, O(log pieces)
 numpy steps: one tree per lambda serves T, the Dirichlet count and the
-eigenfunction.  `spectral` loads this module on the first exact solve,
-so that importing `wirtinger` does not compile it.
+eigenfunction, which is left unnormalized.  The bracket for lambda_1
+comes from the pieces alone.  `spectral` loads this module on the first
+exact solve, so that importing `wirtinger` does not compile it.
 """
 
 from __future__ import annotations
@@ -217,8 +218,7 @@ class Hill:
 
     def eigenfunction(self, lam):
         """w and w' of the periodic solution at lam, as one callable
-        theta -> (w, w') on an array of angles in [0, 2pi), and the
-        integral of a w^2 / 4^i over a period.
+        theta -> (w, w') on an array of angles in [0, 2pi), unnormalized.
 
         One `tree` at lam gives both: its root T, whose T - I has the
         start vector in its kernel, and the states at the piece starts,
@@ -233,15 +233,6 @@ class Hill:
                           (v[0], v[1] * math.sqrt(lam) * self.balance))
         w, slope = w[:-1], f[:-1] / self.beta     # w and w' at the starts
         k = math.sqrt(lam) * self.rate
-        phase = k * self.lengths
-        sinc = np.sin(phase) / phase
-        # the integral of w^2 over each piece, without cancellation:
-        # w = A cos kx + (B / k) sin kx with A = w, B = w' at its start
-        ell = self.lengths
-        norm = float(self.alpha @ (
-            w * w * 0.5 * ell * (1.0 + np.sin(2 * phase) / (2 * phase))
-            + w * slope * ell ** 2 * sinc * sinc
-            + slope * slope * 2.0 * ell ** 3 * _x_minus_sin_x(2 * phase)))
 
         def values(theta):
             p = np.searchsorted(self.starts, theta, side="right") - 1
@@ -250,18 +241,7 @@ class Hill:
             c, s = np.cos(x), np.sin(x)
             return wp * c + sp * s / kp, sp * c - wp * kp * s
 
-        return values, norm
-
-
-def _x_minus_sin_x(x):
-    """(x - sin x) / x^3, elementwise, by its series below x = 0.5."""
-    x = np.asarray(x, dtype=float)
-    x2 = x * x
-    series = (1 / 6 - x2 * (1 / 120 - x2 * (1 / 5040 - x2 * (
-        1 / 362880 - x2 * (1 / 39916800 - x2 / 6227020800)))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (x - np.sin(x)) / (x2 * x)
-    return np.where(x < 0.5, series, direct)
+        return values
 
 
 def _det_minus_identity(t):

@@ -389,9 +389,9 @@ def best_constant(a, b, n=2048):
     pair with a sampled weight by finite elements (`fem_constant`).  On
     the exact path the eigenfunction is sampled on `build_mesh(a, b, n)`'s
     nodes, normalized to int a w^2 = int a and signed as `fem_constant`
-    signs it; `residual` is its constraint residual from
-    `rayleigh_quotient`, and the quotient must be 1/lambda_1 within
-    QUOTIENT_TOL, else SolverError.
+    signs it.  `rayleigh_quotient`'s Gauss sums give int a w^2, the
+    constraint `residual` and the quotient, which must be 1/lambda_1
+    within QUOTIENT_TOL, else SolverError.
     """
     if not _piecewise_pair(a, b):
         return fem_constant(a, b, n)
@@ -400,21 +400,19 @@ def best_constant(a, b, n=2048):
     from .hill import certified_lambda1
     hill, lam1 = certified_lambda1(a, b, i, j)
     constant, lambda1 = _caller_scale(lam1, i, j)
-    values, norm = hill.eigenfunction(lam1)
-    scale = math.sqrt(TWO_PI * math.ldexp(mean_a, -2 * i) / norm)
-    u = _normalized(values(mesh.nodes)[0], norm, mean_a, i)
+    values = hill.eigenfunction(lam1)
     # rayleigh_quotient's sums, at unit scale, with a and b evaluated
-    # independently of the pieces
+    # independently of the pieces; the first is int a w^2 / 4^i
     pts, gw = panel_quadrature([a.breakpoints, b.breakpoints])
-    w, wprime = values(pts)
     num, mom, absmom, den = weighted_moments(
         gw, np.ldexp(a.eval(pts), -2 * i), np.ldexp(b.eval(pts), -2 * j),
-        scale * w, scale * wprime)
+        *values(pts))
     error = abs(num / den * lam1 - 1.0)
     if not error <= QUOTIENT_TOL:
         raise SolverError(f"the eigenfunction's Rayleigh quotient times "
                           f"lambda_1 is off 1 by {error:.3g}, above "
                           f"{QUOTIENT_TOL:g}")
+    u = _normalized(values(mesh.nodes)[0], num, mean_a, i)
     return SpectralResult(constant=constant, lambda1=lambda1,
                           eigenfunction=u, nodes=mesh.nodes, n=mesh.n,
                           residual=abs(mom) / absmom)
