@@ -21,14 +21,14 @@ eigenfunction, the nodes and the residual, which roundoff in the
 eigenfunction moves while the numbers the benchmark checks stay put.
 
 The third digest covers only each operation's workload, seed and label
-and every SpectralResult that `spectral.fem_constant` returns, as the
-first digest takes it: a change to the exact path that leaves it alone
-left every finite-element bit alone.
+and every SpectralResult that `spectral.fem_constant` returns, taken as
+in the first digest.
 
 Two checkouts that print the same first digest return the same bits on
 the benchmark's inputs; the same second digest, the same constants; the
-same third digest, the same finite-element results.  BLAS
-runs one thread, as in the benchmark.  Run from anywhere:
+same third digest, the same finite-element results, whatever the exact
+path does.  BLAS runs one thread, as in the benchmark.  Run from
+anywhere:
 
     python ci/outcome_hash.py
 """
