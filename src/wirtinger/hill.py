@@ -272,13 +272,15 @@ def _smaller_root(quad, lin, const):
 def _refine(step, lo, hi, lam):
     """A root in [lo, hi] by the steps of step(lam) -> (below, delta).
 
-    `below` says whether the root lies above lam.  Stops at a step within
-    4 ulps, or within 1e-10 relative once the steps stop halving,
-    roundoff's floor.  Above that floor, a step that leaves the bracket or
-    is more than half the previous one is replaced by bisection, so that
-    steps which creep toward a gap edge cannot outlast the iterations.
+    `below` says whether the root lies above lam.  A step that leaves the
+    bracket or is more than half the previous one is replaced by
+    bisection, so that steps which creep toward a gap edge cannot outlast
+    the iterations.  Stops at a step or a bracket within 4 ulps, or at
+    roundoff's floor: a step within 1e-10 relative that is more than half
+    the last of two Newton steps in a row.  Steps that creep are never
+    taken two in a row, so the floor cannot stop them short of the root.
     """
-    previous = math.inf
+    previous, run = math.inf, 0
     for _ in range(200):
         below, delta = step(lam)
         if not math.isfinite(delta):
@@ -288,13 +290,15 @@ def _refine(step, lo, hi, lam):
         else:
             hi = lam
         size = abs(delta)
-        if size <= 4 * math.ulp(lam) or (size <= 1e-10 * lam
-                                         and size > 0.5 * previous):
+        if min(size, hi - lo) <= 4 * math.ulp(lam) or (
+                run >= 2 and 0.5 * previous < size <= 1e-10 * lam):
             return min(max(lam + delta, lo), hi)
         if size <= 0.5 * previous and lo < lam + delta < hi:
             lam += delta
+            run += 1
         else:
             lam = 0.5 * (lo + hi)
+            run = 0
         previous = size
     raise SolverError("the transfer-matrix root search did not converge")
 
