@@ -27,8 +27,12 @@ in the first digest.
 Two checkouts that print the same first digest return the same bits on
 the benchmark's inputs; the same second digest, the same constants; the
 same third digest, the same finite-element results, whatever the exact
-path does.  BLAS runs one thread, as in the benchmark.  Run from
-anywhere:
+path does.  BLAS runs one thread, as in the benchmark.  The digests, like
+the float.hex goldens, hold for the numpy and scipy of
+ci/constraints.txt and for the CPU they were recorded on: where the CPU
+has FMA, the stacked matmul of `hill.Hill.tree` fuses multiply-adds, so
+another CPU may move the exact path's last bits (ci/constraints.txt
+gives the measurement).  Run from anywhere:
 
     python ci/outcome_hash.py
 """

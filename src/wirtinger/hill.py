@@ -21,12 +21,14 @@ from .spectral import SolverError
 from .weights import TWO_PI, sorted_unique
 
 #: ratio between consecutive trial values of lambda in the march for
-#: lambda_1; no power of it is 2, so the march, which starts at half of a
-#: bound attained by reciprocal pairs, does not land on their lambda_1
+#: lambda_1, which steps on its powers times half a lower bound that
+#: reciprocal pairs attain; no power of it is 2, so the march does not
+#: land on their lambda_1
 MARCH_RATIO = 1.2
 
-#: certified_lambda1 checks lambda_1 at lambda_1 (1 - CERTIFY_OFFSET)
-CERTIFY_OFFSET = 1e-9
+#: certified_lambda1 checks lambda_1 at lambda_1 (1 - offset), for these
+#: offsets in turn while the point lies below nu_1; the last is a few ulps
+CERTIFY_OFFSETS = (1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15)
 
 
 class Hill:
@@ -64,14 +66,14 @@ class Hill:
         k = math.sqrt(lam) * self.rate
         phase = k * self.lengths
         c, s = np.cos(phase), np.sin(phase)
-        out = np.empty((phase.size, 4, 4) if derivative else
-                       (phase.size, 2, 2))
-        out[:, 0, 0] = out[:, 1, 1] = c
-        out[:, 0, 1] = s / (k * self.beta)
-        out[:, 1, 0] = -lam * self.alpha * s / k
+        upper, lower = s / (k * self.beta), -lam * self.alpha * s / k
+        size = 4 if derivative else 2
+        out = (np.zeros if derivative else np.empty)((phase.size, size, size))
+        for d in range(0, size, 2):     # T on the diagonal blocks
+            out[:, d, d] = out[:, d + 1, d + 1] = c
+            out[:, d, d + 1] = upper
+            out[:, d + 1, d] = lower
         if derivative:
-            out[:, :2, 2:] = 0.0
-            out[:, 2:, 2:] = out[:, :2, :2]
             sinc = s / phase
             out[:, 2, 0] = out[:, 3, 1] = -0.5 * s * phase
             out[:, 2, 1] = 0.5 * self.lengths / self.beta * (c - sinc)
@@ -106,8 +108,12 @@ class Hill:
         beta k run from 1e-154 to 1e154.
         """
         g = math.sqrt(lam) * self.balance
-        blocks = root.shape[0] // 2
-        return root * np.tile([[1.0, g], [1.0 / g, 1.0]], (blocks, blocks))
+        # on a copy: the root of a one-piece tree is its leaf, which
+        # `sweep` reads
+        t = root.copy()
+        t[0::2, 1::2] *= g
+        t[1::2, 0::2] *= 1.0 / g
+        return t
 
     def monodromy(self, lam, derivative=False):
         """T(lam), or [[T, 0], [lam T', T]] with `derivative`, `balanced`,
@@ -144,42 +150,60 @@ class Hill:
         """Zeros in (0, 2pi) of the solution with w(0) = 0, b w'(0) = 1,
         from the `tree` at lam.
 
-        A Sturm count, exact along the pieces: on each piece w = R sin(phi
-        + k x) with a Pruefer angle phi, taken mod pi at both ends from the
-        states there, so a zero on a piece's end is counted once.
+        A Sturm count, exact along the pieces: on each piece w = R sin
+        theta and b w' / (beta k) = R cos theta, where the Pruefer angle
+        theta rises by k l, and the zeros on the piece are the multiples of
+        pi in (theta at its start, theta at its end].  theta mod pi is
+        taken in [-pi/2, pi/2] at both ends from the states there, where
+        an angle within roundoff of a zero keeps its digits and its sign,
+        so a zero on a piece's end is counted once even where beta k is
+        tiny.
         """
         w, f = self.sweep(levels, (0.0, 1.0))
         # b w' / (beta k) = R cos: scale w by beta k
         g = math.sqrt(lam) * self.impedance
-        start = np.mod(np.arctan2(g * w[:-1], f[:-1]), math.pi)
-        end = np.mod(np.arctan2(g * w[1:], f[1:]), math.pi)
+
+        def angle(gw, f):
+            return np.arctan2(np.copysign(gw, gw * f), np.abs(f))
+
+        start, end = angle(g * w[:-1], f[:-1]), angle(g * w[1:], f[1:])
+        # floor(theta / pi) at the end less at the start
         turns = np.rint((start + math.sqrt(lam) * self.rate * self.lengths
                          - end) / math.pi)
+        turns += start < 0.0
+        turns -= end < 0.0
         return int(turns.sum()) - int(w[-1] == 0.0)
 
     def lower_bound(self):
-        """Half of the larger of two lower bounds on lambda_1, unit scale.
+        """The larger of two lower bounds on lambda_1, unit scale.
 
         C(a, b) <= (ess sup a / ess inf b) C(1, 1), C(1, 1) = 1, and the
         paper's bound (mean sqrt(a / b))^2 / ((4 / pi) arctan((inf ab /
-        sup ab)^(1/4)))^2 on C(a, b) is attained by reciprocal pairs,
-        whence the half."""
+        sup ab)^(1/4)))^2 on C(a, b), which reciprocal pairs attain."""
         mean_root = float(self.rate @ self.lengths) / TWO_PI
         ratio = math.sqrt(self.impedance.min() / self.impedance.max())
-        return 0.5 * max(self.beta.min() / self.alpha.max(), (
+        return max(self.beta.min() / self.alpha.max(), (
             (4.0 / math.pi) * math.atan(ratio) / mean_root) ** 2)
 
-    def lambda1(self, lam_lo, lam_hi):
-        """lambda_1 at unit scale, marching up from lam_lo < lambda_1.
+    def lambda1(self, bound, lam_hi):
+        """lambda_1 at unit scale, from a bound <= lambda_1.
 
-        The march stops where tr T >= 2, in the first gap [lambda_1,
-        lambda_2], or where T_12, the Dirichlet entry, turns from negative
-        to positive: there lies nu_2, the Dirichlet eigenvalue inside that
-        gap.  lambda_1 is then the lower root of det(T - I) below either
-        point, found by `_gap_edge`; a closed gap gives nu_2 itself.
-        SolverError past lam_hi, which must exceed lambda_2.
+        The march steps on bound / 2 times the powers of MARCH_RATIO,
+        from the last of them below the bound: below lambda_1, where tr T
+        < 2 and T_12 turns only from positive to negative, at nu_1, no
+        stop can hold (Magnus and Winkler, Hill's Equation, 1966), so the
+        lower steps would build trees in vain.  The march stops where tr
+        T >= 2, in the first gap [lambda_1, lambda_2], or where T_12, the
+        Dirichlet entry, turns from negative to positive: there lies nu_2,
+        the Dirichlet eigenvalue inside that gap.  lambda_1 is then the
+        lower root of det(T - I) below either point, found by
+        `_gap_edge`; a closed gap gives nu_2 itself.  SolverError past
+        lam_hi, which must exceed lambda_2.
         """
-        lam, t = lam_lo, self.monodromy(lam_lo)
+        lam = 0.5 * bound
+        while lam * MARCH_RATIO < bound:
+            lam *= MARCH_RATIO
+        t = self.monodromy(lam)
         while lam <= lam_hi:
             up = lam * MARCH_RATIO
             t_up = self.monodromy(up)
@@ -218,11 +242,14 @@ class Hill:
 
     def eigenfunction(self, lam):
         """w and w' of the periodic solution at lam, as one callable
-        theta -> (w, w') on an array of angles in [0, 2pi), unnormalized.
+        theta -> (w, w'), or w alone without `derivative`, on an ascending
+        array of angles in [0, 2pi), unnormalized.
 
         One `tree` at lam gives both: its root T, whose T - I has the
         start vector in its kernel, and the states at the piece starts,
-        swept down from that vector.
+        swept down from that vector.  The angles on each piece are a run
+        of the ascending array, so each piece's values are repeated over
+        its run, with no search per angle.
         """
         levels = self.tree(lam)
         t = self.balanced(lam, levels[-1][0]) - np.eye(2)
@@ -234,12 +261,26 @@ class Hill:
         w, slope = w[:-1], f[:-1] / self.beta     # w and w' at the starts
         k = math.sqrt(lam) * self.rate
 
-        def values(theta):
-            p = np.searchsorted(self.starts, theta, side="right") - 1
-            kp, wp, sp = k[p], w[p], slope[p]
-            x = kp * (theta - self.starts[p])
-            c, s = np.cos(x), np.sin(x)
-            return wp * c + sp * s / kp, sp * c - wp * kp * s
+        def values(theta, derivative=True):
+            runs = np.diff(np.searchsorted(theta, self.starts),
+                           append=theta.size)
+            kp, wp, sp = (np.repeat(v, runs) for v in (k, w, slope))
+            x = theta - np.repeat(self.starts, runs)
+            x *= kp
+            s = np.sin(x)
+            c = np.cos(x, out=x)
+            # in place, in the order of w = wp c + sp s / kp and
+            # w' = sp c - wp kp s
+            value = sp * s
+            value /= kp
+            if derivative:
+                kp *= wp
+                kp *= s
+                sp *= c
+                sp -= kp
+            c *= wp
+            c += value
+            return (c, sp) if derivative else c
 
         return values
 
@@ -306,21 +347,32 @@ def _refine(step, lo, hi, lam):
 def certified_lambda1(a, b, i, j):
     """The Hill of (a, b) and its certified lambda_1 at unit scale.
 
-    The march starts at `Hill.lower_bound`, and gives up past 4 max beta
-    / min alpha, which is 4 ess sup b / ess inf a at unit scale, read
+    The march starts from `Hill.lower_bound`, and gives up past 4 max
+    beta / min alpha, which is 4 ess sup b / ess inf a at unit scale, read
     from the pieces: above lambda_2, because C(a, b) >= (ess inf a / ess
-    sup b) C(1, 1) and lambda_2 of (1, 1) is 1.  At lambda_1 (1 -
-    CERTIFY_OFFSET), tr T must be below 2 and the Dirichlet solution must
-    have exactly one zero in (0, 2pi): else lambda_1 would be a later
-    periodic eigenvalue, and SolverError.
+    sup b) C(1, 1) and lambda_2 of (1, 1) is 1.
+
+    Between nu_1, the first Dirichlet eigenvalue, and lambda_1, tr T < 2
+    and the Dirichlet solution has exactly one zero in (0, 2pi); it has
+    none below nu_1, and past lambda_1 tr T >= 2 up to lambda_2, beyond
+    which it has two or more zeros.  nu_1 lies in the gap [mu_1, mu_2]
+    below the band (mu_2, lambda_1), which can be narrower than
+    CERTIFY_OFFSETS[0] lambda_1.  So the check runs at lambda_1 (1 -
+    offset), offset by offset while the count there is 0: lambda_1 is
+    certified where tr T < 2 and the count is 1, else SolverError.
     """
     hill = Hill(a, b, i, j)
     lam1 = hill.lambda1(hill.lower_bound(),
                         4.0 * hill.beta.max() / hill.alpha.min())
-    below = lam1 * (1.0 - CERTIFY_OFFSET)
-    levels = hill.tree(below)
-    if not (_det_minus_identity(hill.balanced(below, levels[-1][0])) > 0.0
-            and hill.dirichlet_zeros(below, levels) == 1):
-        raise SolverError(f"lambda = {lam1:.17g} at unit scale is not "
-                          "certified as lambda_1 by the transfer matrix")
-    return hill, lam1
+    for offset in CERTIFY_OFFSETS:
+        below = lam1 * (1.0 - offset)
+        levels = hill.tree(below)
+        if not _det_minus_identity(hill.balanced(below, levels[-1][0])) > 0:
+            break
+        zeros = hill.dirichlet_zeros(below, levels)
+        if zeros == 1:
+            return hill, lam1
+        if zeros > 1:
+            break
+    raise SolverError(f"lambda = {lam1:.17g} at unit scale is not "
+                      "certified as lambda_1 by the transfer matrix")

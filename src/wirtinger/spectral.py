@@ -89,15 +89,18 @@ def build_mesh(a, b, n):
     if TWO_PI - bp[-1] <= tol:
         bp = bp[:-1]
     # keep the remaining breakpoints, drop uniform nodes that (circularly)
-    # collide; only a node's circular neighbours among the sorted
-    # breakpoints can (bp[0] == 0, and bp[-1] wraps around)
-    right = np.searchsorted(bp, base)
+    # collide; tol is far below the spacing, so only the two nodes beside
+    # a breakpoint can (mod n: bp[0] == 0, and bp[-1] wraps around)
+    right = np.searchsorted(base, bp)
     keep = np.ones(n, dtype=bool)
-    for nearest in (bp[right - 1], bp[right % bp.size]):
-        diff = np.abs(base - nearest)
-        keep &= np.minimum(diff, TWO_PI - diff) > tol
-    # a kept node lies more than tol from every breakpoint: no value repeats
-    return Mesh(nodes=np.sort(np.concatenate((base[keep], bp))))
+    for nearest in (right - 1, right % n):
+        diff = np.abs(base[nearest] - bp)
+        keep[nearest[np.minimum(diff, TWO_PI - diff) <= tol]] = False
+    # a kept node lies more than tol from every breakpoint: no value
+    # repeats, and the stable sort merges the two ascending runs in linear
+    # time
+    return Mesh(nodes=np.sort(np.concatenate((base[keep], bp)),
+                              kind="stable"))
 
 
 def _element_entries(a, b, mesh, i, j):
@@ -412,7 +415,7 @@ def best_constant(a, b, n=2048):
         raise SolverError(f"the eigenfunction's Rayleigh quotient times "
                           f"lambda_1 is off 1 by {error:.3g}, above "
                           f"{QUOTIENT_TOL:g}")
-    u = _normalized(values(mesh.nodes)[0], num, mean_a, i)
+    u = _normalized(values(mesh.nodes, derivative=False), num, mean_a, i)
     return SpectralResult(constant=constant, lambda1=lambda1,
                           eigenfunction=u, nodes=mesh.nodes, n=mesh.n,
                           residual=abs(mom) / absmom)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wirtinger import (PeriodicWeight, assemble, best_constant, bound_general,
                        build_mesh, converge, hill, rayleigh_quotient,
                        sine_family, spectral)
-from wirtinger.cli import main
+from wirtinger.cli import main, parse_weight
 from wirtinger.sharpness import (PowerWeightPair, bound_power,
                                  closed_form_pq0, extremal_fn_pq,
                                  extremal_weight_pq)
@@ -122,6 +122,54 @@ def test_build_mesh_matches_dense_on_random_breakpoints(n):
     bp = np.sort(rng.uniform(0.0, TWO_PI, 5000))
     w = PeriodicWeight.piecewise(bp, rng.uniform(1.0, 4.0, 5000))
     _assert_mesh_matches_dense(w, w.power(-1.0), n)
+
+
+def _node_side_mesh_nodes(a, b, n):
+    """build_mesh with the collision test run at every uniform node, on
+    its two neighbours among the breakpoints, and a full sort
+    (reference)."""
+    base = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    tol = 1e-9 * (TWO_PI / n)
+    bp = np.sort(np.concatenate(([0.0], a.breakpoints, b.breakpoints)))
+    bp = bp[np.append(True, np.diff(bp) > tol)]
+    if TWO_PI - bp[-1] <= tol:
+        bp = bp[:-1]
+    right = np.searchsorted(bp, base)
+    keep = np.ones(n, dtype=bool)
+    for nearest in (bp[right - 1], bp[right % bp.size]):
+        diff = np.abs(base - nearest)
+        keep &= np.minimum(diff, TWO_PI - diff) > tol
+    return np.sort(np.concatenate((base[keep], bp)))
+
+
+def _hostile_breakpoints(rng, n):
+    """Breakpoints on uniform nodes, 1e-10 and 2e-9 spacings beside them
+    (inside and outside tol), within tol of 2pi, slivers, and 500 to 2000
+    random ones."""
+    h = TWO_PI / n
+    nodes = h * rng.integers(0, n, 40)
+    offsets = h * rng.choice([0.0, 1e-10, -1e-10, 2e-9, -2e-9], 40)
+    random = rng.uniform(0.0, TWO_PI, int(rng.integers(500, 2001)))
+    slivers = random[:20] + h * 10.0 ** rng.uniform(-14.0, -6.0, 20)
+    near_end = TWO_PI - h * np.array([1e-10, 5e-10, 2e-9])
+    bp = np.unique(np.concatenate((nodes + offsets, random, slivers,
+                                   near_end)))
+    return bp[(bp >= 0.0) & (bp < TWO_PI)]
+
+
+def test_build_mesh_merges_like_a_node_side_collision_test():
+    # bit for bit: the merge of the kept nodes and the breakpoints, and
+    # the collision test at the nodes beside each breakpoint
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        n = int(np.exp(rng.uniform(math.log(8), math.log(65536))))
+        bp = _hostile_breakpoints(rng, n)
+        a = PeriodicWeight.piecewise(bp, rng.uniform(1.0, 4.0, bp.size))
+        in_b = rng.random(bp.size) < 0.3
+        b = PeriodicWeight.piecewise(bp[in_b], rng.uniform(1.0, 4.0,
+                                                           in_b.sum()))
+        assert np.array_equal(build_mesh(a, b, n).nodes,
+                              _node_side_mesh_nodes(a, b, n)), n
 
 
 def test_build_mesh_many_breakpoints_is_fast():
@@ -1049,7 +1097,7 @@ def test_swept_states_match_the_piece_by_piece_loop():
         pieces = hill.Hill(a, b, i, j)
         assert pieces.starts.size == count
         for factor in np.exp(rng.uniform(math.log(0.5), math.log(20.0), 2)):
-            lam = factor * pieces.lower_bound()
+            lam = factor * 0.5 * pieces.lower_bound()
             levels = pieces.tree(lam)
             for v in ((0.0, 1.0), tuple(rng.normal(size=2))):
                 for got, ref in zip(pieces.sweep(levels, v),
@@ -1060,10 +1108,87 @@ def test_swept_states_match_the_piece_by_piece_loop():
                 _looped_dirichlet_zeros(pieces, lam)), (count, lam)
 
 
+def test_eigenfunction_samples_like_a_search_per_angle():
+    # bit for bit against the piece that a search finds for each angle, on
+    # ascending angles with every piece start, repeats, and the last float
+    # below 2pi among them
+    rng = np.random.default_rng(1966)
+    for count in SWEEP_COUNTS:
+        a, b = _random_pair(rng, count)
+        i, j, _ = spectral._unit_scale(a, b)
+        pieces = hill.Hill(a, b, i, j)
+        lam = rng.uniform(0.5, 20.0) * pieces.lower_bound()
+        values = pieces.eigenfunction(lam)
+        theta = np.sort(np.concatenate((
+            rng.uniform(0.0, TWO_PI, 500), pieces.starts,
+            pieces.starts[rng.integers(0, count, 5)],
+            rng.choice(rng.uniform(0.0, TWO_PI, 5), 10),
+            [np.nextafter(TWO_PI, 0.0)])))
+        # at the starts x = 0, where both sums are exact: w and w' there
+        w, slope = values(pieces.starts)
+        p = np.searchsorted(pieces.starts, theta, side="right") - 1
+        k = math.sqrt(lam) * pieces.rate[p]
+        x = k * (theta - pieces.starts[p])
+        c, s = np.cos(x), np.sin(x)
+        got = values(theta)
+        assert np.array_equal(got[0], w[p] * c + slope[p] * s / k), count
+        assert np.array_equal(got[1], slope[p] * c - w[p] * k * s), count
+        assert np.array_equal(values(theta, derivative=False), got[0])
+
+
+def test_derivative_blocks_and_balance_match_their_dense_forms():
+    # bit for bit: the 4x4 blocks against the 2x2 matrices copied into
+    # [[T, 0], [lam T', T]], and balanced matrices against a product with
+    # the tiled scales
+    rng = np.random.default_rng(1967)
+    for count in (1, 2, 7, 300, 2000):
+        a, b = _random_pair(rng, count)
+        i, j, _ = spectral._unit_scale(a, b)
+        pieces = hill.Hill(a, b, i, j)
+        lam = rng.uniform(0.5, 20.0) * pieces.lower_bound()
+        m, blocks = pieces.matrices(lam), pieces.matrices(lam, True)
+        phase = math.sqrt(lam) * pieces.rate * pieces.lengths
+        c, s = np.cos(phase), np.sin(phase)
+        sinc = s / phase
+        dense = np.zeros((count, 4, 4))
+        dense[:, :2, :2] = dense[:, 2:, 2:] = m
+        dense[:, 2, 0] = dense[:, 3, 1] = -0.5 * s * phase
+        dense[:, 2, 1] = 0.5 * pieces.lengths / pieces.beta * (c - sinc)
+        dense[:, 3, 0] = -0.5 * lam * pieces.alpha * pieces.lengths * (
+            sinc + c)
+        assert np.array_equal(blocks, dense), count
+        g = math.sqrt(lam) * pieces.balance
+        for root in [*m[:10], *blocks[:10]]:
+            size = root.shape[0] // 2
+            assert np.array_equal(pieces.balanced(lam, root), root * np.tile(
+                [[1.0, g], [1.0 / g, 1.0]], (size, size)))
+        # balanced scaled copies, not the leaves
+        assert np.array_equal(m, pieces.matrices(lam))
+
+
+def _march_from_half(pieces, bound, lam_hi):
+    """Hill.lambda1's march from bound / 2 up (reference)."""
+    lam = 0.5 * bound
+    t = pieces.monodromy(lam)
+    while lam <= lam_hi:
+        up = lam * hill.MARCH_RATIO
+        t_up = pieces.monodromy(up)
+        if hill._det_minus_identity(t_up) <= 0.0:
+            return hill._refine(pieces._gap_edge, lam, up, up)
+        if t[0, 1] < 0.0 <= t_up[0, 1]:
+            start = lam - t[0, 1] * (up - lam) / (t_up[0, 1] - t[0, 1])
+            nu2 = hill._refine(pieces._dirichlet, lam, up, start)
+            return hill._refine(pieces._gap_edge, lam, nu2, nu2)
+        lam, t = up, t_up
+    return None
+
+
 def test_one_product_tree_per_lambda_besides_the_root_search(monkeypatch):
     # the root search's trees, then one at lambda_1 (1 - 1e-9) for the
     # certificate and one at lambda_1 for the eigenfunction: an extra
-    # tree, or a monodromy per piece, fails here
+    # tree, or a monodromy per piece, fails here.  The search's first tree
+    # is at the march's last step below the bound, and it gives the float
+    # that a march from half the bound gives
     lams, searched = [], []
     tree, lambda1 = hill.Hill.tree, hill.Hill.lambda1
 
@@ -1081,15 +1206,97 @@ def test_one_product_tree_per_lambda_besides_the_root_search(monkeypatch):
     res = best_constant(PWC500, ONE, 512)
     assert searched[0] > 0 and len(lams) == searched[0] + 2
     # PWC500 and ONE are at unit scale already
-    assert lams[-2:] == [res.lambda1 * (1 - hill.CERTIFY_OFFSET), res.lambda1]
+    assert lams[-2:] == [res.lambda1 * (1 - hill.CERTIFY_OFFSETS[0]),
+                         res.lambda1]
+    rng = np.random.default_rng(1968)
+    for count in rng.integers(1, 60, 100):
+        a, b = _random_pair(rng, count)
+        i, j, _ = spectral._unit_scale(a, b)
+        pieces = hill.Hill(a, b, i, j)
+        bound = pieces.lower_bound()
+        lam_hi = 4.0 * pieces.beta.max() / pieces.alpha.min()
+        lams.clear()
+        root = pieces.lambda1(bound, lam_hi)
+        assert min(lams) == lams[0] < bound <= lams[0] * hill.MARCH_RATIO
+        assert root == _march_from_half(pieces, bound, lam_hi), count
 
 
 def test_exact_path_refuses_an_uncertified_root(monkeypatch):
     # lambda_3 = 4 of (1, 1) is a root of tr T = 2, but its Dirichlet
-    # solution has three zeros below it
-    monkeypatch.setattr(hill.Hill, "lambda1", lambda self, lo, hi: 4.0)
-    with pytest.raises(SolverError, match="not certified as lambda_1"):
-        exact_constant(ONE, ONE)
+    # solution has three zeros below it; lambda_2 of (PWC_P, 1), the top
+    # of the first gap, has tr T > 2 below it
+    i, j, _ = spectral._unit_scale(PWC_P, ONE)
+    pieces, lo = hill.certified_lambda1(PWC_P, ONE, i, j)
+    while hill._det_minus_identity(pieces.monodromy(lo * 1.01)) <= 0.0:
+        lo *= 1.01
+    hi = lo * 1.01
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if hill._det_minus_identity(pieces.monodromy(mid)) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    below = lo * (1 - hill.CERTIFY_OFFSETS[0])
+    assert hill._det_minus_identity(pieces.monodromy(below)) < -1e-12
+    for a, root in ((ONE, 4.0), (PWC_P, lo)):
+        monkeypatch.setattr(hill.Hill, "lambda1",
+                            lambda self, bound, lam_hi: root)
+        with pytest.raises(SolverError, match="not certified as lambda_1"):
+            exact_constant(a, ONE)
+
+
+def test_exact_path_certifies_a_root_with_a_narrow_band_below(capsys):
+    # the band (mu_2, lambda_1) is about 2e-10 lambda_1 wide, so lambda_1
+    # (1 - 1e-9) lies in the gap [mu_1, mu_2] below nu_1, where the
+    # Dirichlet solution has no zero; the certificate moves closer
+    a = "pwc:0=6.16e+20,4.13=6.15e+12,5.12=318000"
+    b = "pwc:0=9.74e+06,4.86=2.08e-10"
+    assert main(["solve", "--a", a, "--b", b]) == 0
+    constant = json.loads(capsys.readouterr().out)["results"]["constant"]
+    reference = mp_constant(parse_weight(a), parse_weight(b))
+    assert float(abs(constant - reference) / reference) <= 1e-13
+
+
+def _hostile_pair(rng):
+    """A pwc pair of 1 to 5 pieces each with contrasts up to 1e150, and
+    in 30 % a sliver of 1e-13 to 1e-6 after the last breakpoint."""
+    def weight():
+        bp = np.unique(np.append(0.0, rng.uniform(0.0, TWO_PI,
+                                                  rng.integers(0, 5))))
+        if rng.random() < 0.3 and bp[-1] + 1e-6 < TWO_PI:
+            bp = np.append(bp, bp[-1] + 10.0 ** rng.uniform(-13.0, -6.0))
+        return PeriodicWeight.piecewise(bp, 10.0 ** (
+            rng.uniform(0.0, 1.0, bp.size) * rng.uniform(0.0, 150.0)))
+
+    return weight(), weight()
+
+
+def test_exact_path_refuses_only_where_exact_arithmetic_would():
+    # a refused pair has no point lambda_1 (1 - offset), for the offsets of
+    # CERTIFY_OFFSETS, where tr T < 2 and T_12 < 0 in 200-digit arithmetic,
+    # that is no point between nu_1 and lambda_1: its band below lambda_1
+    # is narrower than the last offset, or its root is not lambda_1.  At
+    # most a tenth of the pairs is refused
+    rng = np.random.default_rng(1969)
+    refused = 0
+    for _ in range(200):
+        a, b = _hostile_pair(rng)
+        i, j, _ = spectral._unit_scale(a, b)
+        try:
+            hill.certified_lambda1(a, b, i, j)
+            continue
+        except SolverError:
+            refused += 1
+        pieces = hill.Hill(a, b, i, j)
+        root = pieces.lambda1(pieces.lower_bound(),
+                              4.0 * pieces.beta.max() / pieces.alpha.min())
+        for offset in hill.CERTIFY_OFFSETS:
+            lam = math.ldexp(root * (1 - offset), 2 * (j - i))
+            with mpmath.workdps(200):
+                t = mp_monodromy(a, b, mpmath.mpf(lam))
+                assert not (t[0, 0] + t[1, 1] < 2 and t[0, 1] < 0), (
+                    a.breakpoints, a.values, b.breakpoints, b.values)
+    assert refused <= 20
 
 
 def test_exact_path_refuses_a_quotient_off_lambda_1(monkeypatch):
